@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .features import GlcmConfig, SmoothnessConfig, compute_feature_table, write_features_csv
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,6 +14,10 @@ the angular-speed profile (spectral arc length and log dimensionless jerk).
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -405,7 +409,8 @@ def compute_feature_table(
     """Texture + histogram per grid instant, motion per grid step.
 
     Frame features are computed once per distinct frame and shared by all
-    grid instants referencing it.  Instants without an associated frame get
+    grid instants referencing it; large sessions compute them in a process
+    pool, with identical results.  Instants without an associated frame get
     None texture/histogram.
     """
     if not fused:
@@ -414,16 +419,13 @@ def compute_feature_table(
     if len(fused) >= 2:
         delta = fused[1].t_us - fused[0].t_us
         motion = angular_velocity(fused, delta)
-    per_frame: dict[int, tuple[TextureFeatures, HistogramStats]] = {}
+    distinct = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
+    per_frame = dict(zip(distinct, _distinct_frame_features(session.frames, distinct, cfg)))
     records: list[FeatureRecord] = []
     for k, sample in enumerate(fused):
         tex = hist = None
         if sample.frame_idx is not None:
-            cached = per_frame.get(sample.frame_idx)
-            if cached is None:
-                cached = frame_features(session.frames[sample.frame_idx], cfg)
-                per_frame[sample.frame_idx] = cached
-            tex, hist = cached
+            tex, hist = per_frame[sample.frame_idx]
         if k == 0 or motion is None:
             omega, speed = None, None
         else:
@@ -431,6 +433,70 @@ def compute_feature_table(
             speed = float(motion.speed[k - 1])
         records.append(FeatureRecord(sample.t_us, tex, hist, omega, speed))
     return records
+
+
+# Below this many pixels across a session's distinct frames the features
+# are computed serially.  Pool start-up and teardown cost about 80 ms on two
+# cores and break even near 5 Mpx; the margin above that keeps short
+# sessions, whose saving would be within noise, off the pool.
+_POOL_MIN_PIXELS = 1 << 24
+# Each worker takes about this many chunks of frames, so that a slow chunk
+# near the end leaves little idle time on the other workers.
+_CHUNKS_PER_WORKER = 8
+
+# Set in each pool worker by _init_worker: (frames, cfg) inherited by fork.
+_worker_job: tuple[Sequence[Frame], GlcmConfig] | None = None
+
+
+def _pool_workers(frames: Sequence[Frame], indices: Sequence[int]) -> int:
+    """How many worker processes to use for ``frames[indices]``; <= 1 means serial."""
+    pixels = sum(frames[i].width * frames[i].height for i in indices)
+    if (
+        pixels < _POOL_MIN_PIXELS
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+        # A daemonic process may not have children.
+        or multiprocessing.current_process().daemon
+        # fork copies only the calling thread; a lock another thread holds
+        # would stay held in the child for good.
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(indices))
+
+
+def _distinct_frame_features(
+    frames: Sequence[Frame], indices: Sequence[int], cfg: GlcmConfig
+) -> list[tuple[TextureFeatures, HistogramStats]]:
+    """``frame_features(frames[i], cfg)`` for each i in ``indices``, in order.
+
+    Large sessions are spread over a fork process pool, one worker per CPU
+    this process may run on.  The workers inherit ``frames`` and ``cfg``
+    through the fork and decode on-disk frames themselves without caching
+    them, so the caller never holds the decoded session.  A worker that dies
+    raises ``concurrent.futures.BrokenExecutor`` here.
+    """
+    workers = _pool_workers(frames, indices)
+    if workers <= 1:
+        return [frame_features(frames[i], cfg) for i in indices]
+    chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(frames, cfg),
+    ) as pool:
+        return list(pool.map(_worker_frame_features, indices, chunksize=chunksize))
+
+
+def _init_worker(frames: Sequence[Frame], cfg: GlcmConfig) -> None:
+    global _worker_job
+    _worker_job = (frames, cfg)
+
+
+def _worker_frame_features(i: int) -> tuple[TextureFeatures, HistogramStats]:
+    frames, cfg = _worker_job
+    return frame_features(frames[i].read_pixels(), cfg)
 
 
 def write_features_csv(dest, records: Iterable[FeatureRecord]) -> None:

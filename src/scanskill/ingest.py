@@ -17,6 +17,7 @@ loaded Session is safe.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable
@@ -96,11 +97,21 @@ class Frame:
     @property
     def pixels(self) -> np.ndarray:
         if self._pixels is None:
-            w, h, data = read_pgm(self._path)
-            if (w, h) != (self.width, self.height):
-                raise ValueError(f"frame geometry changed: {self._path}")
-            self._pixels = data
+            self._pixels = self.read_pixels()
         return self._pixels
+
+    def read_pixels(self) -> np.ndarray:
+        """The pixels, decoded from the backing file unless already cached.
+
+        Unlike :attr:`pixels` this never caches, so a caller visiting each
+        frame once holds one decoded frame at a time.
+        """
+        if self._pixels is not None:
+            return self._pixels
+        w, h, data = read_pgm(self._path)
+        if (w, h) != (self.width, self.height):
+            raise ValueError(f"frame geometry changed: {self._path}")
+        return data
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame(t_us={self.t_us}, {self.width}x{self.height})"
@@ -123,8 +134,9 @@ def read_pose_csv(source: IO[str] | str | Path) -> list[PoseSample]:
     """Parse a ``pose.csv`` stream or file into ordered pose samples.
 
     Quaternions are normalized on read (sensor quantization tolerated).
-    Raises ValueError with a 1-based line number on malformed lines and on
-    timestamp regressions; an empty file raises ``"no samples"``.
+    Raises ValueError with a 1-based line number on malformed lines
+    (including non-finite quaternion components) and on timestamp
+    regressions; an empty file raises ``"no samples"``.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -146,6 +158,8 @@ def read_pose_csv(source: IO[str] | str | Path) -> list[PoseSample]:
             comps = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"malformed line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, comps)):
+            raise ValueError(f"malformed line {lineno}: non-finite quaternion component")
         if prev_t is not None and t <= prev_t:
             raise ValueError(f"timestamp regression at line {lineno}")
         prev_t = t

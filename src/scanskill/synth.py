@@ -28,7 +28,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
 from ._scratch import scratch
 from .core import SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply, q_normalize
@@ -280,6 +279,9 @@ def _tremor_quats(
     The envelope tapers to zero before the settle margin, so the final
     ``_SETTLE_S`` of every session carries identity tremor (exact rest).
     """
+    # Imported on use: scipy.ndimage takes ~0.3 s to load and only synth needs it.
+    from scipy.ndimage import gaussian_filter1d
+
     t_s = np.arange(n_total) / profile.pose_rate_hz
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     jitter = rng.standard_normal((n_total, 3))
@@ -307,6 +309,8 @@ def _tremor_quats(
 @lru_cache(maxsize=8)
 def _base_field(width: int, height: int, seed: int) -> np.ndarray:
     """Seeded smooth noise in [-1, 1]; fixed per session, shared by frames."""
+    from scipy.ndimage import gaussian_filter  # imported on use, as in _tremor_quats
+
     rng = np.random.default_rng([_STREAM_FIELD, seed])
     field = gaussian_filter(rng.standard_normal((height, width)), sigma=3.0, mode="reflect")
     field /= np.max(np.abs(field))

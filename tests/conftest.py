@@ -1,12 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+import scanskill
 
 from scanskill.core import SessionMeta
 from scanskill.fusion import hemisphere_align
 from scanskill.ingest import Frame, PoseSample, Session
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's scanskill.
+
+    The timeout turns a hang into a test failure.
+    """
+    src = str(Path(scanskill.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:

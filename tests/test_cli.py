@@ -1,11 +1,12 @@
 import json
+import shutil
 
 import pytest
 
 from scanskill.cli import main
 from scanskill.ingest import PoseSample, write_session
 
-from conftest import IDENTITY, constant_frame, make_session
+from conftest import IDENTITY, constant_frame, make_session, run_python
 
 SYNTH_ARGS = ["--frame-size", "48x36"]
 
@@ -147,3 +148,28 @@ class TestExitCodes:
 
     def test_no_command_usage_error(self):
         assert main([]) == 2
+
+    def test_non_finite_pose_is_pipeline_error(self, session_dir, tmp_path, capsys):
+        bad = tmp_path / "nan"
+        shutil.copytree(session_dir, bad)
+        lines = (bad / "pose.csv").read_text().splitlines(keepends=True)
+        t_us = lines[5].split(",")[0]
+        lines[5] = f"{t_us},nan,0,0,1\n"
+        (bad / "pose.csv").write_text("".join(lines))
+        for command in ("validate", "report"):
+            capsys.readouterr()
+            assert main([command, "--session", str(bad)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: malformed line 6: non-finite quaternion component"]
+
+
+class TestEntryPoints:
+    def test_python_dash_m(self, session_dir):
+        proc = run_python("-m", "scanskill", "validate", "--session", str(session_dir))
+        assert proc.returncode == 0, proc.stderr
+        assert run_python("-m", "scanskill").returncode == 2
+
+    def test_cli_import_leaves_out_scipy(self):
+        proc = run_python("-c", "import sys, scanskill.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -59,6 +59,11 @@ class TestPoseCsv:
         with pytest.raises(ValueError, match="line 2: degenerate quaternion"):
             read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,0,0,0,0"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_line(self, bad):
+        with pytest.raises(ValueError, match="malformed line 3: non-finite"):
+            read_pose_csv(io.StringIO(f"t_us,w,x,y,z\n0,1,0,0,0\n1,1,{bad},0,0"))
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_fuzz_count_matches_lines(self, seed, n):
