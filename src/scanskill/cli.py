@@ -30,20 +30,6 @@ from .ingest import load_session, validate_session
 from .skill import build_report, compare, report_document, report_from_document
 from .synth import ProfileConfig, gen_session
 
-_CONFIG_KEYS = (
-    "delta_t_us",
-    "pose_policy",
-    "frame_policy",
-    "max_frame_staleness_us",
-    "levels",
-    "offsets",
-    "symmetric",
-    "roi",
-    "speed_smoothing_window",
-    "sparc_cutoff_hz",
-    "sparc_amplitude_threshold",
-)
-
 # Series emitted by export-plot, in output order.
 _PLOT_SERIES = (
     "asm",
@@ -139,14 +125,51 @@ def entry() -> None:  # console-script entry point
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_int_list(value, n: int) -> bool:
+    return isinstance(value, list) and len(value) == n and all(map(_is_int, value))
+
+
+# Recognized --config keys: what each JSON value must be, and its check.
+_CONFIG_TYPES = {
+    "delta_t_us": ("an integer", _is_int),
+    "pose_policy": ("a string", lambda v: isinstance(v, str)),
+    "frame_policy": ("a string", lambda v: isinstance(v, str)),
+    "max_frame_staleness_us": ("an integer", _is_int),
+    "levels": ("an integer", _is_int),
+    "offsets": (
+        "a list of [dx, dy] integer pairs",
+        lambda v: isinstance(v, list) and all(_is_int_list(pair, 2) for pair in v),
+    ),
+    "symmetric": ("true or false", lambda v: isinstance(v, bool)),
+    "roi": ("null or [x, y, w, h] integers", lambda v: v is None or _is_int_list(v, 4)),
+    "speed_smoothing_window": ("an integer", _is_int),
+    "sparc_cutoff_hz": ("a number", _is_number),
+    "sparc_amplitude_threshold": ("a number", _is_number),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    unknown = set(doc) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        expected, check = _CONFIG_TYPES[key]
+        if not check(value):
+            raise ValueError(f"config key {key} must be {expected}, got {json.dumps(value)}")
     return doc
 
 
@@ -196,20 +219,20 @@ def _pipeline_configs(args) -> tuple[ResampleConfig, GlcmConfig, SmoothnessConfi
     )
     offsets = args.offsets
     if offsets is None and "offsets" in cfg:
-        offsets = tuple(tuple(int(v) for v in pair) for pair in cfg["offsets"])
+        offsets = tuple(map(tuple, cfg["offsets"]))
     roi = args.roi
     if roi is None and cfg.get("roi") is not None:
-        roi = tuple(int(v) for v in cfg["roi"])
+        roi = tuple(cfg["roi"])
     glcm_kwargs = {"roi": roi}
     if offsets is not None:
         glcm_kwargs["offsets"] = offsets
     glcm_cfg = GlcmConfig(
         levels=pick(args.levels, "levels", 32),
-        symmetric=bool(cfg.get("symmetric", True)),
+        symmetric=cfg.get("symmetric", True),
         **glcm_kwargs,
     )
     smoothness = SmoothnessConfig(
-        speed_smoothing_window=int(cfg.get("speed_smoothing_window", 5)),
+        speed_smoothing_window=cfg.get("speed_smoothing_window", 5),
         sparc_cutoff_hz=float(cfg.get("sparc_cutoff_hz", 10.0)),
         sparc_amplitude_threshold=float(cfg.get("sparc_amplitude_threshold", 0.05)),
     )

@@ -123,6 +123,15 @@ class SmoothnessConfig:
     sparc_cutoff_hz: float = 10.0
     sparc_amplitude_threshold: float = 0.05
 
+    def __post_init__(self) -> None:
+        window = self.speed_smoothing_window
+        if not isinstance(window, int) or window < 1:
+            raise ValueError("speed_smoothing_window must be an integer >= 1")
+        if not self.sparc_cutoff_hz > 0:
+            raise ValueError("sparc_cutoff_hz must be > 0")
+        if not 0 < self.sparc_amplitude_threshold <= 1:
+            raise ValueError("sparc_amplitude_threshold must be in (0, 1]")
+
 
 # ---------------------------------------------------------------------------
 # texture

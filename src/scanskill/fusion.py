@@ -14,10 +14,10 @@ Disjoint streams are an error.
 
 from __future__ import annotations
 
-from collections import deque
+import bisect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -201,16 +201,33 @@ def fuse_streams(session: Session, cfg: ResampleConfig) -> list[FusedSample]:
         raise ValueError("streams do not overlap in time")
 
     start = max(int(pose_t[0]), int(frame_t[0]))
-    origin_idx = int(np.searchsorted(pose_t, start, side="left"))
-    origin = int(pose_t[origin_idx])
-    dt = cfg.delta_t_us
-    n = int((int(pose_t[-1]) - origin) // dt) + 1
-    grid = origin + dt * np.arange(n, dtype=np.int64)
+    origin = int(pose_t[np.searchsorted(pose_t, start, side="left")])
+    return _fuse_span(pose_t, quats, frame_t, origin, int(pose_t[-1]), cfg)
 
+
+def _fuse_span(
+    pose_t: Sequence[int],
+    quats: np.ndarray,
+    frame_t: Sequence[int],
+    first_t: int,
+    last_t: int,
+    cfg: ResampleConfig,
+    frame_offset: int = 0,
+) -> list[FusedSample]:
+    """Fuse the grid instants ``first_t + k·delta_t_us <= last_t``.
+
+    ``frame_offset`` is the session index of ``frame_t[0]``.
+    """
+    pose_t = np.asarray(pose_t, dtype=np.int64)
+    frame_t = np.asarray(frame_t, dtype=np.int64)
+    n = (last_t - first_t) // cfg.delta_t_us + 1
+    grid = first_t + cfg.delta_t_us * np.arange(n, dtype=np.int64)
     out_q = _interpolate_on_grid(pose_t, quats, grid, cfg.pose_policy)
     f_idx, f_stale = _associate_frames(frame_t, grid, cfg)
     return [
-        FusedSample(int(t), q, int(i) if i >= 0 else None, int(s) if i >= 0 else None)
+        FusedSample(int(t), q, int(i) + frame_offset, int(s))
+        if i >= 0
+        else FusedSample(int(t), q, None, None)
         for t, q, i, s in zip(grid, out_q, f_idx, f_stale)
     ]
 
@@ -237,129 +254,73 @@ class StreamingFuser:
     final.  Call :meth:`finish` after both streams end to flush the tail.
 
     A grid instant becomes final once the pose stream has reached it and the
-    frame stream has advanced past its staleness window, so the internal
-    buffers are bounded by ``max_frame_staleness_us`` (one reorder window),
-    not by session length.
+    frame stream has advanced ``max_frame_staleness_us`` past it.  Each push
+    fuses the whole span of newly final instants with the batch grid code,
+    then drops the poses before the bracketing pair of the next instant and
+    the frames behind its staleness horizon.  The buffers therefore grow with
+    how far the frame stream lags the pose stream, not with session length:
+    while frames stall, every pose pushed since stays buffered, and the next
+    frame past the window releases that backlog at once.
     """
 
     def __init__(self, cfg: ResampleConfig) -> None:
         self._cfg = cfg
-        self._poses: deque[PoseSample] = deque()
-        self._frames: deque[tuple[int, int]] = deque()  # (t_us, session frame index)
-        self._n_poses = 0
-        self._n_frames = 0
-        self._prev_q: np.ndarray | None = None
-        self._first_pose_t: int | None = None
-        self._first_frame_t: int | None = None
-        self._last_pose_t: int | None = None
-        self._last_frame_t: int | None = None
+        self._pose_t: list[int] = []
+        self._quats: list[np.ndarray] = []  # hemisphere-aligned
+        self._frame_t: list[int] = []
+        self._dropped_frames = 0  # session index of self._frame_t[0]
         self._next_t: int | None = None  # next grid instant to emit
-        self._finished = False
 
     def push_pose(self, pose: PoseSample) -> list[FusedSample]:
-        if self._last_pose_t is not None and pose.t_us <= self._last_pose_t:
+        if self._pose_t and pose.t_us <= self._pose_t[-1]:
             raise ValueError("pose timestamps must be strictly increasing")
         q = pose.q
-        if self._prev_q is not None and float(np.dot(self._prev_q, q)) < 0.0:
+        if self._quats and float(np.dot(self._quats[-1], q)) < 0.0:
             q = -q
-        self._prev_q = q
-        self._poses.append(PoseSample(pose.t_us, q))
-        self._n_poses += 1
-        if self._first_pose_t is None:
-            self._first_pose_t = pose.t_us
-        self._last_pose_t = pose.t_us
-        self._maybe_set_origin()
+        self._pose_t.append(pose.t_us)
+        self._quats.append(q)
         return self._emit(flush=False)
 
     def push_frame(self, t_us: int) -> list[FusedSample]:
-        if self._last_frame_t is not None and t_us <= self._last_frame_t:
+        if self._frame_t and t_us <= self._frame_t[-1]:
             raise ValueError("frame timestamps must be strictly increasing")
-        self._frames.append((t_us, self._n_frames))
-        self._n_frames += 1
-        if self._first_frame_t is None:
-            self._first_frame_t = t_us
-        self._last_frame_t = t_us
-        self._maybe_set_origin()
+        self._frame_t.append(t_us)
         return self._emit(flush=False)
 
     def finish(self) -> list[FusedSample]:
-        if self._finished:
-            return []
-        self._finished = True
-        if self._n_poses < 2:
+        if len(self._pose_t) < 2:
             raise ValueError("cannot interpolate")
-        if self._n_frames == 0 or self._next_t is None:
-            raise ValueError("streams do not overlap in time")
-        return self._emit(flush=True)
-
-    def _maybe_set_origin(self) -> None:
-        if self._next_t is not None:
-            return
-        if self._first_pose_t is None or self._first_frame_t is None:
-            return
-        start = max(self._first_pose_t, self._first_frame_t)
-        for p in self._poses:
-            if p.t_us >= start:
-                self._next_t = p.t_us
-                return
-        # No buffered pose at/after the joint start yet; wait for more poses.
-
-    def _emit(self, flush: bool) -> list[FusedSample]:
-        out: list[FusedSample] = []
+        out = self._emit(flush=True)
         if self._next_t is None:
-            return out
-        stale_max = self._cfg.max_frame_staleness_us
-        while len(self._poses) >= 2:
-            t = self._next_t
-            if t > self._last_pose_t:
-                break  # grid ends at the last pose timestamp
-            frames_final = flush or (
-                self._last_frame_t is not None and self._last_frame_t >= t + stale_max
-            )
-            if not frames_final:
-                break
-            out.append(self._fuse_one(t))
-            self._next_t = t + self._cfg.delta_t_us
-            self._prune()
+            raise ValueError("streams do not overlap in time")
         return out
 
-    def _fuse_one(self, t: int) -> FusedSample:
-        poses = self._poses
-        i = 0
-        while i + 2 < len(poses) and poses[i + 1].t_us <= t:
-            i += 1
-        a, b = poses[i], poses[i + 1]
-        u = (t - a.t_us) / (b.t_us - a.t_us)
-        if self._cfg.pose_policy == "nearest":
-            q = (a.q if u <= 0.5 else b.q).copy()
-        else:
-            q = _slerp_pairs(a.q[None, :], b.q[None, :], np.array([float(u)]))[0]
-        frame_idx, stale = self._pick_frame(t)
-        return FusedSample(t, q, frame_idx, stale)
-
-    def _pick_frame(self, t: int) -> tuple[int | None, int | None]:
-        policy = self._cfg.frame_policy
-        best_idx: int | None = None
-        best_d: int | None = None
-        for ft, idx in self._frames:
-            if policy == "latest_not_after":
-                if ft > t:
-                    break
-                best_idx, best_d = idx, t - ft
-            else:  # nearest; tie -> earlier frame
-                d = abs(ft - t)
-                if best_d is None or d < best_d:
-                    best_idx, best_d = idx, d
-        if best_idx is None or best_d > self._cfg.max_frame_staleness_us:
-            return None, None
-        return best_idx, int(best_d)
-
-    def _prune(self) -> None:
-        t = self._next_t
-        # Keep the bracketing pose pair for t and everything later.
-        while len(self._poses) > 2 and self._poses[1].t_us <= t:
-            self._poses.popleft()
+    def _emit(self, flush: bool) -> list[FusedSample]:
+        pose_t, frame_t, cfg = self._pose_t, self._frame_t, self._cfg
+        if len(pose_t) < 2 or not frame_t:
+            return []
+        if self._next_t is None:
+            # Nothing is dropped before the origin is set, so the buffers
+            # still start with each stream's first sample.
+            start = max(pose_t[0], frame_t[0])
+            i = bisect.bisect_left(pose_t, start)
+            if i == len(pose_t):
+                return []  # wait for a pose inside the overlap
+            self._next_t = pose_t[i]
+        end_t = pose_t[-1]
+        if not flush:
+            end_t = min(end_t, frame_t[-1] - cfg.max_frame_staleness_us)
+        if end_t < self._next_t:
+            return []
+        out = _fuse_span(
+            pose_t, np.stack(self._quats), frame_t, self._next_t, end_t, cfg, self._dropped_frames
+        )
+        self._next_t = out[-1].t_us + cfg.delta_t_us
+        # Keep the bracketing pose pair of the next instant and everything later.
+        drop = min(bisect.bisect_right(pose_t, self._next_t) - 1, len(pose_t) - 2)
+        del pose_t[:drop], self._quats[:drop]
         # Frames behind the staleness horizon can never be selected again.
-        horizon = t - self._cfg.max_frame_staleness_us
-        while self._frames and self._frames[0][0] < horizon:
-            self._frames.popleft()
+        drop = bisect.bisect_left(frame_t, self._next_t - cfg.max_frame_staleness_us)
+        del frame_t[:drop]
+        self._dropped_frames += drop
+        return out

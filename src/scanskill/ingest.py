@@ -190,45 +190,44 @@ def write_pose_csv(dest: IO[str] | str | Path, poses: Iterable[PoseSample]) -> N
 def read_pgm(path: str | Path) -> tuple[int, int, np.ndarray]:
     """Read a binary PGM (P5, maxval 255). Returns (width, height, pixels)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    magic, pos = _pgm_token(data, 0, path)
-    if magic != b"P5":
-        raise ValueError(f"unsupported PGM magic {magic!r} in {path}")
-    fields = []
-    for _ in range(3):
-        tok, pos = _pgm_token(data, pos, path)
-        fields.append(int(tok))
-    width, height, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"unsupported depth (maxval {maxval}) in {path}")
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad dimensions {width}x{height} in {path}")
-    # A single whitespace byte separates the header from the raster.
-    raster = data[pos + 1 : pos + 1 + width * height]
+        width, height = _read_pgm_header(fh, path)
+        raster = fh.read(width * height)
     if len(raster) != width * height:
         raise ValueError(f"truncated raster in {path}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return width, height, pixels
 
 
-def _pgm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comment lines, then read one token.
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
+def _read_pgm_header(fh: IO[bytes], path) -> tuple[int, int]:
+    """Parse a P5 header, leaving ``fh`` at the first raster byte.
+
+    Returns (width, height).  The header is read byte by byte, so ``#``
+    comments of any length are accepted and the raster is never read.
+    """
+    fields: list[bytes] = []
+    token = bytearray()
+    while len(fields) < 4:
+        c = fh.read(1)
+        if c and not c.isspace() and not (c == b"#" and not token):
+            token += c
+            continue
+        # A token ends at one whitespace byte; after maxval that byte is the
+        # single separator before the raster.
+        if token:
+            fields.append(bytes(token))
+            token.clear()
+            if len(fields) == 1 and fields[0] != b"P5":
+                raise ValueError(f"unsupported PGM magic {fields[0]!r} in {path}")
+        elif not c:
+            raise ValueError(f"truncated PGM header in {path}")
         elif c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ValueError(f"truncated PGM header in {path}")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+            fh.readline()  # comment runs to the end of the line
+    width, height, maxval = (int(f) for f in fields[1:])
+    if maxval != 255:
+        raise ValueError(f"unsupported depth (maxval {maxval}) in {path}")
+    if width <= 0 or height <= 0:
+        raise ValueError(f"bad dimensions {width}x{height} in {path}")
+    return width, height
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
@@ -272,31 +271,20 @@ def read_frame_index(session_dir: str | Path) -> list[Frame]:
                 raise ValueError(f"timestamp regression at line {lineno}")
             prev_t = t
             rel = parts[1]
+            # Lexical check, so no syscall per frame: stay inside the session.
+            if rel.startswith("/") or ".." in rel.split("/"):
+                raise ValueError(f"line {lineno}: frame path {rel} leaves the session")
             path = session_dir / rel
             if not path.is_file():
                 raise ValueError(f"missing frame file {rel}")
-            width, height = _read_pgm_geometry(path)
+            with open(path, "rb") as pgm:
+                width, height = _read_pgm_header(pgm, path)
             if geometry is None:
                 geometry = (width, height)
             elif geometry != (width, height):
                 raise ValueError("frame geometry changed")
             frames.append(Frame(t, width, height, path=path))
     return frames
-
-
-def _read_pgm_geometry(path: Path) -> tuple[int, int]:
-    # Header-only validation; does not touch the raster.
-    with open(path, "rb") as fh:
-        head = fh.read(512)
-    magic, pos = _pgm_token(head, 0, path)
-    if magic != b"P5":
-        raise ValueError(f"unsupported PGM magic {magic!r} in {path}")
-    width, pos = _pgm_token(head, pos, path)
-    height, pos = _pgm_token(head, pos, path)
-    maxval, pos = _pgm_token(head, pos, path)
-    if int(maxval) != 255:
-        raise ValueError(f"unsupported depth (maxval {int(maxval)}) in {path}")
-    return int(width), int(height)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from .features import (
     GlcmConfig,
     SmoothnessConfig,
-    angular_velocity,
     compute_feature_table,
     log_dimensionless_jerk,
     path_length,
@@ -110,8 +109,7 @@ def build_report(
     flags: list[str] = []
     ldlj_val = sparc_val = None
     if n >= 2:
-        motion = angular_velocity(fused, fuse_cfg.delta_t_us)
-        speed = smooth_speed(motion.speed, smoothness.speed_smoothing_window)
+        speed = smooth_speed([r.speed for r in table[1:]], smoothness.speed_smoothing_window)
         try:
             sparc_val = sparc(
                 speed,

@@ -90,6 +90,27 @@ class TestPipelineCommands:
         cfg.write_text(json.dumps({"delta_t": 1}))
         assert main(["report", "--session", str(session_dir), "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"delta_t_us": "abc"},
+            ["levels"],
+            [1],
+            {"symmetric": "false"},
+            {"offsets": [1]},
+            {"sparc_amplitude_threshold": 2},
+        ],
+    )
+    def test_bad_config_value_is_one_line_error(self, session_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(
+            ["report", "--session", str(session_dir), "--out", str(out), "--config", str(cfg)]
+        ) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_offsets_flag(self, session_dir, tmp_path):
         out = tmp_path / "offs"
         assert main(
@@ -161,6 +182,18 @@ class TestExitCodes:
             assert main([command, "--session", str(bad)]) == 3
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: malformed line 6: non-finite quaternion component"]
+
+
+    def test_frame_path_leaving_session_is_pipeline_error(self, session_dir, tmp_path, capsys):
+        bad = tmp_path / "escape" / "s"
+        shutil.copytree(session_dir, bad)
+        shutil.copytree(session_dir, tmp_path / "escape" / "x")
+        index = bad / "frames" / "index.csv"
+        index.write_text(index.read_text().replace(",frames/", ",../x/frames/"))
+        capsys.readouterr()
+        assert main(["validate", "--session", str(bad)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "leaves the session" in err[0]
 
 
 class TestEntryPoints:

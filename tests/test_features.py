@@ -7,6 +7,7 @@ from scipy.ndimage import uniform_filter
 from scanskill.core import q_from_axis_angle, q_multiply, q_normalize
 from scanskill.features import (
     GlcmConfig,
+    SmoothnessConfig,
     angular_velocity,
     frame_features,
     glcm,
@@ -401,3 +402,23 @@ class TestSparc:
     def test_zero_speed(self):
         with pytest.raises(ValueError, match="no motion"):
             sparc(np.zeros(16), 100.0)
+
+
+class TestSmoothnessConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed_smoothing_window", 0),
+            ("speed_smoothing_window", 2.5),
+            ("sparc_cutoff_hz", 0.0),
+            ("sparc_cutoff_hz", math.nan),
+            ("sparc_amplitude_threshold", 0.0),
+            ("sparc_amplitude_threshold", 2.0),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SmoothnessConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        SmoothnessConfig(speed_smoothing_window=1, sparc_amplitude_threshold=1.0)

@@ -265,6 +265,24 @@ class TestResampleConfig:
             ResampleConfig(pose_policy="cubic")
 
 
+def _push_in_time_order(fuser: StreamingFuser, poses, frame_times) -> list[FusedSample]:
+    # On equal timestamps the frame goes first.
+    events = [(p.t_us, 1, p) for p in poses] + [(t, 0, None) for t in frame_times]
+    out: list[FusedSample] = []
+    for t_us, is_pose, pose in sorted(events, key=lambda e: (e[0], e[1])):
+        out += fuser.push_pose(pose) if is_pose else fuser.push_frame(t_us)
+    return out
+
+
+def _assert_same_fused(a: list[FusedSample], b: list[FusedSample]) -> None:
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.t_us == y.t_us
+        assert x.frame_idx == y.frame_idx
+        assert x.frame_staleness_us == y.frame_staleness_us
+        assert np.array_equal(x.q, y.q)
+
+
 class TestStreamingFuser:
     @pytest.mark.parametrize("frame_policy", ["nearest", "latest_not_after"])
     @pytest.mark.parametrize("pose_policy", ["slerp", "nearest"])
@@ -277,24 +295,31 @@ class TestStreamingFuser:
                 frame_policy=frame_policy,
                 max_frame_staleness_us=50_000,
             )
-            batch = fuse_streams(session, cfg)
             fuser = StreamingFuser(cfg)
-            streamed: list[FusedSample] = []
-            events = [("p", p.t_us, p) for p in session.poses]
-            events += [("f", f.t_us, f) for f in session.frames]
-            events.sort(key=lambda e: (e[1], e[0]))
-            for kind, _, item in events:
-                if kind == "p":
-                    streamed += fuser.push_pose(item)
-                else:
-                    streamed += fuser.push_frame(item.t_us)
+            streamed = _push_in_time_order(
+                fuser, session.poses, [f.t_us for f in session.frames]
+            )
             streamed += fuser.finish()
-            assert len(streamed) == len(batch)
-            for a, b in zip(streamed, batch):
-                assert a.t_us == b.t_us
-                assert a.frame_idx == b.frame_idx
-                assert a.frame_staleness_us == b.frame_staleness_us
-                assert np.max(np.abs(a.q - b.q)) <= 1e-12
+            _assert_same_fused(streamed, fuse_streams(session, cfg))
+
+    def test_frame_stall_holds_then_releases_backlog(self):
+        cfg = ResampleConfig()  # 10 ms grid, 100 ms staleness window
+        rng = np.random.default_rng(9)
+        poses = smooth_pose_walk(rng, list(range(0, 2_000_001, 10_000)))
+        frame_times = list(range(0, 200_001, 40_000))
+        fuser = StreamingFuser(cfg)
+        streamed = _push_in_time_order(fuser, poses[:21], frame_times)
+        assert streamed[-1].t_us == 100_000  # last frame (200 ms) minus the window
+        for pose in poses[21:]:  # frames stall from here on
+            assert fuser.push_pose(pose) == []
+        assert len(fuser._pose_t) > 180
+        late_frame = poses[-1].t_us + cfg.max_frame_staleness_us
+        backlog = fuser.push_frame(late_frame)
+        assert [s.t_us for s in backlog] == list(range(110_000, 2_000_001, 10_000))
+        assert len(fuser._pose_t) == 2 and fuser._frame_t == [late_frame]
+        assert fuser.finish() == []
+        session = make_session(poses, [constant_frame(t) for t in frame_times + [late_frame]])
+        _assert_same_fused(streamed + backlog, fuse_streams(session, cfg))
 
     def test_streaming_rejects_disjoint(self):
         cfg = ResampleConfig()

@@ -153,6 +153,33 @@ class TestFrameIndex:
             read_frame_index(tmp_path)
 
 
+    def test_long_header_comment(self, tmp_path):
+        px = np.arange(24, dtype=np.uint8).reshape(4, 6)
+        _write_index(tmp_path, [(0, "000000.pgm", None)])
+        comment = b"# " + b"x" * 600 + b"\n"
+        (tmp_path / "frames" / "000000.pgm").write_bytes(
+            b"P5\n" + comment + b"6 4\n255\n" + px.tobytes()
+        )
+        (frame,) = read_frame_index(tmp_path)
+        assert (frame.width, frame.height) == (6, 4)
+        assert np.array_equal(frame.pixels, px)
+
+    @pytest.mark.parametrize(
+        "rel",
+        ["../x/frames/000000.pgm", "frames/../../x/frames/000000.pgm", "{root}/x/frames/000000.pgm"],
+    )
+    def test_path_leaving_session_rejected(self, tmp_path, rel):
+        px = np.zeros((4, 6), dtype=np.uint8)
+        for name in ("s", "x"):
+            (tmp_path / name).mkdir()
+            _write_index(tmp_path / name, [(0, "000000.pgm", px)])
+        rel = rel.format(root=tmp_path)
+        assert (tmp_path / "s" / rel).is_file()  # the target exists
+        (tmp_path / "s" / "frames" / "index.csv").write_text(f"t_us,file\n0,{rel}\n")
+        with pytest.raises(ValueError, match="leaves the session"):
+            read_frame_index(tmp_path / "s")
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         meta = SessionMeta("s1", "expert", 1, 100.0, 25.0)
