@@ -21,14 +21,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .features import GlcmConfig, SmoothnessConfig, compute_feature_table, write_features_csv
-from .fusion import ResampleConfig, fuse_streams, write_fused_csv
-from .ingest import load_session, validate_session
 from .skill import build_report, compare, report_document, report_from_document
-from .synth import ProfileConfig, gen_session
+
+# The pipeline modules (and with them numpy) are imported by the subcommands
+# that run them, so that `compare` starts in a fraction of the time.
+if TYPE_CHECKING:
+    from .features import GlcmConfig, SmoothnessConfig
+    from .fusion import ResampleConfig
 
 # Series emitted by export-plot, in output order.
 _PLOT_SERIES = (
@@ -113,9 +115,20 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, BrokenExecutor) as exc:
+    except _pipeline_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def _pipeline_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that end a command with exit 3 and one ``error:`` line.
+
+    ``main`` calls this only once an exception reaches its handler, so the
+    commands that never start a process pool do not import concurrent.futures.
+    """
+    from concurrent.futures import BrokenExecutor
+
+    return (ValueError, OSError, KeyError, BrokenExecutor)
 
 
 def entry() -> None:  # console-script entry point
@@ -204,6 +217,9 @@ def _parse_frame_size(text: str) -> tuple[int, int]:
 
 
 def _pipeline_configs(args) -> tuple[ResampleConfig, GlcmConfig, SmoothnessConfig]:
+    from .features import GlcmConfig, SmoothnessConfig
+    from .fusion import ResampleConfig
+
     cfg = _load_config(args.config)
 
     def pick(flag, key, fallback):
@@ -249,6 +265,8 @@ def _out_dir(args) -> Path:
 # subcommands
 
 def _cmd_synth(args) -> int:
+    from .synth import ProfileConfig, gen_session
+
     width, height = args.frame_size
     profile = ProfileConfig(
         kind=args.profile,
@@ -264,6 +282,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .ingest import load_session, validate_session
+
     session = load_session(args.session)
     report = validate_session(session)
     for finding in report.findings:
@@ -272,6 +292,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    from .fusion import fuse_streams, write_fused_csv
+    from .ingest import load_session
+
     session = load_session(args.session)
     fuse_cfg, _, _ = _pipeline_configs(args)
     fused = fuse_streams(session, fuse_cfg)
@@ -282,6 +305,10 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .features import compute_feature_table, write_features_csv
+    from .fusion import fuse_streams
+    from .ingest import load_session
+
     session = load_session(args.session)
     fuse_cfg, glcm_cfg, _ = _pipeline_configs(args)
     fused = fuse_streams(session, fuse_cfg)
@@ -293,6 +320,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .ingest import load_session
+
     session = load_session(args.session)
     fuse_cfg, glcm_cfg, smoothness = _pipeline_configs(args)
     report = build_report(session, fuse_cfg, glcm_cfg, smoothness)
@@ -324,6 +353,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export_plot(args) -> int:
+    from .features import compute_feature_table
+    from .fusion import fuse_streams
+    from .ingest import load_session
+
     session = load_session(args.session)
     fuse_cfg, glcm_cfg, _ = _pipeline_configs(args)
     fused = fuse_streams(session, fuse_cfg)

@@ -41,6 +41,9 @@ FUSED_HEADER = "t_us,w,x,y,z,frame_idx,staleness_us"
 # the two agree to O(angle^2) there and lerp avoids the 0/0.
 _SLERP_MIN_ANGLE = 1e-7
 
+# Grid times are int64; a step or window beyond this would overflow them.
+_INT64_MAX = 2**63 - 1
+
 PosePolicy = Literal["slerp", "nearest"]
 FramePolicy = Literal["nearest", "latest_not_after"]
 
@@ -57,6 +60,9 @@ class ResampleConfig:
     def __post_init__(self) -> None:
         if self.delta_t_us < 1:
             raise ValueError("delta_t_us must be >= 1")
+        for name in ("delta_t_us", "max_frame_staleness_us"):
+            if getattr(self, name) > _INT64_MAX:
+                raise ValueError(f"{name} must be <= {_INT64_MAX}")
         if self.pose_policy not in ("slerp", "nearest"):
             raise ValueError(f"unknown pose_policy {self.pose_policy!r}")
         if self.frame_policy not in ("nearest", "latest_not_after"):
@@ -269,6 +275,9 @@ class StreamingFuser:
         self._quats: list[np.ndarray] = []  # hemisphere-aligned
         self._frame_t: list[int] = []
         self._dropped_frames = 0  # session index of self._frame_t[0]
+        # Kept apart from the pruned buffers, for the overlap check in finish().
+        self._first_pose_t: int | None = None
+        self._last_frame_t: int | None = None
         self._next_t: int | None = None  # next grid instant to emit
 
     def push_pose(self, pose: PoseSample) -> list[FusedSample]:
@@ -277,19 +286,24 @@ class StreamingFuser:
         q = pose.q
         if self._quats and float(np.dot(self._quats[-1], q)) < 0.0:
             q = -q
+        if self._first_pose_t is None:
+            self._first_pose_t = pose.t_us
         self._pose_t.append(pose.t_us)
         self._quats.append(q)
         return self._emit(flush=False)
 
     def push_frame(self, t_us: int) -> list[FusedSample]:
-        if self._frame_t and t_us <= self._frame_t[-1]:
+        if self._last_frame_t is not None and t_us <= self._last_frame_t:
             raise ValueError("frame timestamps must be strictly increasing")
         self._frame_t.append(t_us)
+        self._last_frame_t = t_us
         return self._emit(flush=False)
 
     def finish(self) -> list[FusedSample]:
         if len(self._pose_t) < 2:
             raise ValueError("cannot interpolate")
+        if self._last_frame_t is None or self._last_frame_t < self._first_pose_t:
+            raise ValueError("streams do not overlap in time")
         out = self._emit(flush=True)
         if self._next_t is None:
             raise ValueError("streams do not overlap in time")

@@ -144,7 +144,8 @@ def read_pose_csv(source: IO[str] | str | Path) -> list[PoseSample]:
     header = source.readline().rstrip("\r\n")
     if header != POSE_HEADER:
         raise ValueError(f"bad header line 1: expected '{POSE_HEADER}'")
-    samples: list[PoseSample] = []
+    times: list[int] = []
+    quats: list[list[float]] = []
     prev_t = None
     for lineno, raw in enumerate(source, start=2):
         line = raw.strip()
@@ -163,14 +164,16 @@ def read_pose_csv(source: IO[str] | str | Path) -> list[PoseSample]:
         if prev_t is not None and t <= prev_t:
             raise ValueError(f"timestamp regression at line {lineno}")
         prev_t = t
-        try:
-            q = q_normalize(np.array(comps))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        samples.append(PoseSample(t, q))
-    if not samples:
+        w, x, y, z = comps
+        # All rows are normalized at once below; checking here keeps errors in
+        # file order.  A zero sum of squares is what q_normalize rejects.
+        if w * w + x * x + y * y + z * z == 0.0:
+            raise ValueError(f"line {lineno}: degenerate quaternion")
+        times.append(t)
+        quats.append(comps)
+    if not times:
         raise ValueError("no samples")
-    return samples
+    return [PoseSample(t, q) for t, q in zip(times, q_normalize(np.array(quats)))]
 
 
 def write_pose_csv(dest: IO[str] | str | Path, poses: Iterable[PoseSample]) -> None:

@@ -11,21 +11,12 @@ calibrated thresholds; ``compare`` ranks two reports directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from .features import (
-    GlcmConfig,
-    SmoothnessConfig,
-    compute_feature_table,
-    log_dimensionless_jerk,
-    path_length,
-    smooth_speed,
-    sparc,
-)
-from .fusion import ResampleConfig, fuse_streams
-from .ingest import Session
+if TYPE_CHECKING:
+    from .features import GlcmConfig, SmoothnessConfig
+    from .fusion import ResampleConfig
+    from .ingest import Session
 
 __all__ = [
     "ClassifierThresholds",
@@ -96,6 +87,20 @@ def build_report(
     report fields.  Smoothness metrics that cannot be computed (e.g. a
     motionless session) become None plus a flag instead of an error.
     """
+    # Imported here so that reading and comparing reports needs no numpy.
+    import numpy as np
+
+    from .features import (
+        GlcmConfig,
+        SmoothnessConfig,
+        compute_feature_table,
+        log_dimensionless_jerk,
+        path_length,
+        smooth_speed,
+        sparc,
+    )
+    from .fusion import ResampleConfig, fuse_streams
+
     fuse_cfg = fuse_cfg or ResampleConfig()
     glcm_cfg = glcm_cfg or GlcmConfig()
     smoothness = smoothness or SmoothnessConfig()

@@ -279,13 +279,10 @@ def _tremor_quats(
     The envelope tapers to zero before the settle margin, so the final
     ``_SETTLE_S`` of every session carries identity tremor (exact rest).
     """
-    # Imported on use: scipy.ndimage takes ~0.3 s to load and only synth needs it.
-    from scipy.ndimage import gaussian_filter1d
-
     t_s = np.arange(n_total) / profile.pose_rate_hz
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     jitter = rng.standard_normal((n_total, 3))
-    jitter = gaussian_filter1d(jitter, sigma=_TREMOR_JITTER_SIGMA_SAMPLES, axis=0)
+    jitter = _gaussian_blur(jitter, _TREMOR_JITTER_SIGMA_SAMPLES, axes=(0,))
     peak = np.max(np.abs(jitter), axis=0)
     jitter /= np.where(peak > 0, peak, 1.0)
 
@@ -303,16 +300,38 @@ def _tremor_quats(
     return quats
 
 
+def _gaussian_blur(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.ndarray:
+    """Gaussian filter along each of ``axes`` in turn, mirror-padded.
+
+    Bit for bit ``scipy.ndimage.gaussian_filter1d(x, sigma, axis, mode="reflect")``
+    applied per axis: the same kernel (truncated at 4 sigma and normalised by
+    its own sum), the same half-sample symmetric padding, and the same
+    summation order as scipy's loop for symmetric kernels, outermost taps first.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    weights = weights / weights.sum()
+    for axis in axes:
+        line = np.moveaxis(x, axis, 0)
+        n = line.shape[0]
+        pad = np.pad(line, [(radius, radius)] + [(0, 0)] * (line.ndim - 1), mode="symmetric")
+        out = line * weights[radius]
+        for j in range(radius, 0, -1):
+            left, right = pad[radius - j : radius - j + n], pad[radius + j : radius + j + n]
+            out += (left + right) * weights[radius - j]
+        x = np.moveaxis(out, 0, axis)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # phantom frames
 
 @lru_cache(maxsize=8)
 def _base_field(width: int, height: int, seed: int) -> np.ndarray:
     """Seeded smooth noise in [-1, 1]; fixed per session, shared by frames."""
-    from scipy.ndimage import gaussian_filter  # imported on use, as in _tremor_quats
-
     rng = np.random.default_rng([_STREAM_FIELD, seed])
-    field = gaussian_filter(rng.standard_normal((height, width)), sigma=3.0, mode="reflect")
+    field = _gaussian_blur(rng.standard_normal((height, width)), 3.0, axes=(0, 1))
     field /= np.max(np.abs(field))
     return field.astype(np.float32)
 

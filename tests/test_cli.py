@@ -1,14 +1,50 @@
+import importlib
 import json
 import shutil
 
 import pytest
 
+import scanskill
 from scanskill.cli import main
 from scanskill.ingest import PoseSample, write_session
+from scanskill.skill import METRIC_ORDER
 
 from conftest import IDENTITY, constant_frame, make_session, run_python
 
 SYNTH_ARGS = ["--frame-size", "48x36"]
+
+# Every name the package re-exports, with the module that defines it.
+PACKAGE_EXPORTS = {
+    **dict.fromkeys(
+        ["SessionMeta", "q_geodesic_angle", "q_inverse", "q_multiply", "q_normalize"],
+        "scanskill.core",
+    ),
+    **dict.fromkeys(
+        ["FeatureRecord", "GlcmConfig", "HistogramStats", "MotionSeries", "SmoothnessConfig",
+         "TextureFeatures", "angular_velocity", "compute_feature_table", "frame_features",
+         "glcm", "log_dimensionless_jerk", "path_length", "sparc", "texture_features"],
+        "scanskill.features",
+    ),
+    **dict.fromkeys(
+        ["FusedSample", "ResampleConfig", "StreamingFuser", "fuse_streams", "hemisphere_align",
+         "resample_poses", "slerp"],
+        "scanskill.fusion",
+    ),
+    **dict.fromkeys(
+        ["Frame", "PoseSample", "Session", "load_session", "read_pose_csv", "validate_session",
+         "write_session"],
+        "scanskill.ingest",
+    ),
+    **dict.fromkeys(
+        ["ClassifierThresholds", "SkillReport", "build_report", "calibrate_thresholds",
+         "classify", "compare"],
+        "scanskill.skill",
+    ),
+    **dict.fromkeys(
+        ["ProfileConfig", "build_session", "expert_profile", "gen_session", "novice_profile"],
+        "scanskill.synth",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +135,8 @@ class TestPipelineCommands:
             {"symmetric": "false"},
             {"offsets": [1]},
             {"sparc_amplitude_threshold": 2},
+            {"delta_t_us": 10**30, "max_frame_staleness_us": 10**30},
+            {"max_frame_staleness_us": 10**30},
         ],
     )
     def test_bad_config_value_is_one_line_error(self, session_dir, tmp_path, capsys, doc):
@@ -110,6 +148,15 @@ class TestPipelineCommands:
         ) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_huge_grid_step_flag_is_one_line_error(self, session_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(
+            ["fuse", "--session", str(session_dir), "--out", str(out),
+             "--delta-t-us", str(10**30)]
+        ) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: delta_t_us must be <= {2**63 - 1}"]
 
     def test_offsets_flag(self, session_dir, tmp_path):
         out = tmp_path / "offs"
@@ -206,3 +253,38 @@ class TestEntryPoints:
         proc = run_python("-c", "import sys, scanskill.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_compare_loads_neither_numpy_nor_scipy(self, tmp_path):
+        paths = []
+        for name, n_samples in (("a", 100), ("b", 200)):
+            doc = dict.fromkeys(METRIC_ORDER, 1.0)
+            doc.update(session_id=name, n_samples=n_samples, config={"delta_t_us": 10_000})
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        code = (
+            "import sys\n"
+            "from scanskill.cli import main\n"
+            f"assert main(['compare', {str(paths[0])!r}, {str(paths[1])!r}]) == 0\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert json.loads("\n".join(proc.stdout.splitlines()[:-1]))["quicker"] == "a"
+
+    def test_synth_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from scanskill.cli import main\n"
+            f"assert main(['synth', '--profile', 'expert', '--seed', '0', "
+            f"'--out', {str(tmp_path / 's')!r}, '--frame-size', '16x12']) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_package_names_resolve(self):
+        for name, module in PACKAGE_EXPORTS.items():
+            assert getattr(scanskill, name) is getattr(importlib.import_module(module), name)
+        assert sorted(scanskill.__all__) == sorted(PACKAGE_EXPORTS)

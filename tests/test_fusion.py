@@ -264,6 +264,16 @@ class TestResampleConfig:
         with pytest.raises(ValueError, match="pose_policy"):
             ResampleConfig(pose_policy="cubic")
 
+    def test_values_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="delta_t_us must be <="):
+            ResampleConfig(delta_t_us=2**63, max_frame_staleness_us=2**63)
+        with pytest.raises(ValueError, match="max_frame_staleness_us must be <="):
+            ResampleConfig(max_frame_staleness_us=10**30)
+        cfg = ResampleConfig(delta_t_us=2**63 - 1, max_frame_staleness_us=2**63 - 1)
+        poses = [PoseSample(t, IDENTITY.copy()) for t in (0, 10_000)]
+        fused = fuse_streams(make_session(poses, [constant_frame(0)]), cfg)
+        assert [(s.t_us, s.frame_idx) for s in fused] == [(0, 0)]
+
 
 def _push_in_time_order(fuser: StreamingFuser, poses, frame_times) -> list[FusedSample]:
     # On equal timestamps the frame goes first.
@@ -323,9 +333,17 @@ class TestStreamingFuser:
 
     def test_streaming_rejects_disjoint(self):
         cfg = ResampleConfig()
-        fuser = StreamingFuser(cfg)
-        fuser.push_pose(PoseSample(0, IDENTITY.copy()))
-        fuser.push_pose(PoseSample(10_000, IDENTITY.copy()))
-        fuser.push_frame(20_000_000)
-        with pytest.raises(ValueError, match="streams do not overlap"):
-            fuser.finish()
+        cases = [
+            ([0, 10_000], [20_000_000]),  # frames after every pose
+            (list(range(1_000_000, 1_100_001, 10_000)), list(range(0, 200_001, 40_000))),
+        ]
+        for pose_times, frame_times in cases:
+            poses = [PoseSample(t, IDENTITY.copy()) for t in pose_times]
+            frames = [constant_frame(t) for t in frame_times]
+            with pytest.raises(ValueError, match="streams do not overlap"):
+                fuse_streams(make_session(poses, frames), cfg)
+            fuser = StreamingFuser(cfg)
+            assert _push_in_time_order(fuser, poses, frame_times) == []
+            for _ in range(2):  # a repeated finish() raises again
+                with pytest.raises(ValueError, match="streams do not overlap"):
+                    fuser.finish()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanskill.core import SessionMeta
+from scanskill.core import SessionMeta, q_normalize
 from scanskill.ingest import (
     Frame,
     PoseSample,
@@ -59,6 +59,12 @@ class TestPoseCsv:
         with pytest.raises(ValueError, match="line 2: degenerate quaternion"):
             read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,0,0,0,0"))
 
+    def test_errors_reported_in_file_order(self):
+        with pytest.raises(ValueError, match="^line 3: degenerate quaternion"):
+            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0,0\n1,0,0,0,0\n2,1,0,0\n"))
+        with pytest.raises(ValueError, match="^malformed line 3"):
+            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0,0\n1,1,0,0\n2,0,0,0,0\n"))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_component_line(self, bad):
         with pytest.raises(ValueError, match="malformed line 3: non-finite"):
@@ -78,8 +84,11 @@ class TestPoseCsv:
             lines.append(f"{ti},{w},{x},{y},{z}")
         samples = read_pose_csv(io.StringIO("\n".join(lines)))
         assert len(samples) == n
-        for s in samples:
+        for s, line in zip(samples, lines[1:]):
             assert abs(np.linalg.norm(s.q) - 1.0) <= 1e-9
+            # Row by row is the reference for the batched normalization.
+            comps = np.array([float(v) for v in line.split(",")[1:]])
+            assert np.array_equal(s.q, q_normalize(comps))
 
 
 class TestPgm:

@@ -18,6 +18,7 @@ from scanskill.synth import (
     gen_trajectory,
     novice_profile,
 )
+from scanskill.synth import _gaussian_blur
 
 SMALL = dict(frame_width=48, frame_height=36)
 
@@ -126,6 +127,28 @@ class TestPhantomFrames:
         a = gen_phantom_frame(self.TARGET, self.TARGET, (32, 32), seed=9)
         b = gen_phantom_frame(self.TARGET, self.TARGET, (32, 32), seed=9)
         assert np.array_equal(a.pixels, b.pixels)
+
+
+class TestGaussianBlur:
+    """scipy.ndimage, when installed, is the reference for the numpy blur."""
+
+    @pytest.mark.parametrize(
+        "shape", [(240, 320), (480, 640), (48, 64), (2, 2), (4, 5), (1, 30), (30, 1)]
+    )
+    def test_field_blur_equals_gaussian_filter(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        x = np.random.default_rng(shape[0] * 1000 + shape[1]).standard_normal(shape)
+        expected = ndimage.gaussian_filter(x, sigma=3.0, mode="reflect")
+        assert np.array_equal(_gaussian_blur(x, 3.0, axes=(0, 1)), expected)
+
+    def test_jitter_blur_equals_gaussian_filter1d(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(7)
+        # Lines shorter than the 16-sample radius reflect more than once.
+        for n in [*range(1, 40), 8513]:
+            x = rng.standard_normal((n, 3))
+            expected = ndimage.gaussian_filter1d(x, sigma=4.0, axis=0)
+            assert np.array_equal(_gaussian_blur(x, 4.0, axes=(0,)), expected), n
 
 
 class TestSessions:
