@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._scratch import scratch
 from .core import q_geodesic_angle, q_inverse, q_multiply
 from .ingest import Frame, Session
 
@@ -142,19 +141,55 @@ def _pixels_of(frame: Frame | np.ndarray) -> np.ndarray:
     return np.asarray(frame, dtype=np.uint8)
 
 
+def _crop(px: np.ndarray, roi: tuple[int, int, int, int] | None) -> np.ndarray:
+    """The (x, y, w, h) region of ``px``, all of it when ``roi`` is None."""
+    if roi is None:
+        return px
+    x, y, w, h = roi
+    if x < 0 or y < 0 or w <= 0 or h <= 0 or y + h > px.shape[0] or x + w > px.shape[1]:
+        raise ValueError("roi out of bounds")
+    return px[y : y + h, x : x + w]
+
+
 def quantize(
     frame: Frame | np.ndarray, levels: int, roi: tuple[int, int, int, int] | None = None
 ) -> np.ndarray:
     """Map 8-bit pixels to ``floor(p * levels / 256)`` over the ROI (or all)."""
     if levels not in ALLOWED_LEVELS:
         raise ValueError(f"levels must be one of {ALLOWED_LEVELS}")
-    px = _pixels_of(frame)
-    if roi is not None:
-        x, y, w, h = roi
-        if x < 0 or y < 0 or w <= 0 or h <= 0 or y + h > px.shape[0] or x + w > px.shape[1]:
-            raise ValueError("roi out of bounds")
-        px = px[y : y + h, x : x + w]
-    return ((px.astype(np.uint16) * levels) >> 8).astype(np.uint8)
+    # All allowed level counts are powers of two: floor(p*L/256) == p >> shift.
+    return _crop(_pixels_of(frame), roi) >> (9 - levels.bit_length())
+
+
+def _pair_region(shape: tuple[int, int], offset: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Bounds (y0, y1, x0, x1) of the pixels whose ``offset`` partner is inside ``shape``."""
+    dx, dy = offset
+    h, w = shape
+    y0, y1 = max(0, -dy), h - max(0, dy)
+    x0, x1 = max(0, -dx), w - max(0, dx)
+    if y1 <= y0 or x1 <= x0:
+        raise ValueError("empty co-occurrence")
+    return y0, y1, x0, x1
+
+
+def _pair_counts(
+    src: np.ndarray, dst: np.ndarray, offset: tuple[int, int], src_bins: int, dst_bins: int
+) -> np.ndarray:
+    """Counts of the pairs ``(src[y][x], dst[y+dy][x+dx])``, int64 (src_bins, dst_bins).
+
+    ``src`` and ``dst`` have one shape and hold values in ``[0, src_bins)``
+    and ``[0, dst_bins)``.  The pair codes ``s * dst_bins + d`` are built in
+    the narrowest unsigned type that holds them, uint16 at most for 8-bit
+    pixels against any allowed level count, which moves a quarter of the
+    bytes ``intp`` codes would.
+    """
+    y0, y1, x0, x1 = _pair_region(src.shape, offset)
+    dx, dy = offset
+    codes = src[y0:y1, x0:x1].astype(np.min_scalar_type(src_bins * dst_bins - 1))
+    codes *= dst_bins
+    np.add(codes, dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx], out=codes, casting="unsafe")
+    counts = np.bincount(codes.ravel(), minlength=src_bins * dst_bins)
+    return counts.reshape(src_bins, dst_bins)
 
 
 def glcm_counts(img: np.ndarray, levels: int, offset: tuple[int, int]) -> np.ndarray:
@@ -162,30 +197,20 @@ def glcm_counts(img: np.ndarray, levels: int, offset: tuple[int, int]) -> np.nda
     img = np.asarray(img).astype(np.int32)
     if img.size and (img.min() < 0 or img.max() >= levels):
         raise ValueError(f"image values must lie in [0, {levels})")
-    return _pair_counts(img, levels, offset)
+    return _pair_counts(img, img, offset, levels, levels)
 
 
-def _pair_counts(img_i32: np.ndarray, levels: int, offset: tuple[int, int]) -> np.ndarray:
-    dx, dy = offset
-    h, w = img_i32.shape
-    y0, y1 = max(0, -dy), h - max(0, dy)
-    x0, x1 = max(0, -dx), w - max(0, dx)
-    if y1 <= y0 or x1 <= x0:
-        raise ValueError("empty co-occurrence")
-    src = img_i32[y0:y1, x0:x1]
-    dst = img_i32[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-    codes = src * levels + dst
-    return np.bincount(codes.ravel(), minlength=levels * levels).reshape(levels, levels)
+def _normalize(counts: np.ndarray, symmetric: bool) -> np.ndarray:
+    if symmetric:
+        counts = counts + counts.T
+    return counts / counts.sum()
 
 
 def glcm(
     img: np.ndarray, levels: int, offset: tuple[int, int], symmetric: bool = True
 ) -> np.ndarray:
     """Normalized co-occurrence matrix P (sums to 1) for one offset."""
-    counts = glcm_counts(img, levels, offset)
-    if symmetric:
-        counts = counts + counts.T
-    return counts / counts.sum()
+    return _normalize(glcm_counts(img, levels, offset), symmetric)
 
 
 def _homogeneity_weights(levels: int) -> np.ndarray:
@@ -214,14 +239,15 @@ def texture_features(P: np.ndarray) -> TextureFeatures:
 
 def histogram_stats(frame: Frame | np.ndarray, roi=None) -> HistogramStats:
     """Intensity distribution over the same region texture uses."""
-    px = _pixels_of(frame)
-    if roi is not None:
-        x, y, w, h = roi
-        px = px[y : y + h, x : x + w]
-    flat = px.ravel()
-    if flat.size == 0:
+    px = _crop(_pixels_of(frame), roi)
+    if px.size == 0:
         raise ValueError("empty frame")
-    bins = np.bincount(flat, minlength=256) / flat.size
+    return _histogram(np.bincount(px.ravel(), minlength=256), px.size)
+
+
+def _histogram(counts: np.ndarray, n: int) -> HistogramStats:
+    """Statistics of a 256-bin intensity count over ``n`` pixels."""
+    bins = counts / n
     values = np.arange(256, dtype=np.float64)
     mean = float(bins @ values)
     variance = float(bins @ (values - mean) ** 2)
@@ -237,48 +263,30 @@ def frame_features(
 
     ASM and homogeneity are averaged arithmetically across offsets; energy
     is ``sqrt`` of the averaged ASM so the energy/ASM identity survives the
-    averaging.
+    averaging.  The results equal those of :func:`quantize`, :func:`glcm`,
+    :func:`texture_features` and :func:`histogram_stats` bit for bit.
     """
-    px = _pixels_of(frame)
-    if cfg.roi is not None:
-        x, y, w, h = cfg.roi
-        if x < 0 or y < 0 or y + h > px.shape[0] or x + w > px.shape[1]:
-            raise ValueError("roi out of bounds")
-        px = px[y : y + h, x : x + w]
+    px = _crop(_pixels_of(frame), cfg.roi)
     levels = cfg.levels
-    # All allowed level counts are powers of two: floor(p*L/256) == p >> shift.
-    shift = 8 - (levels.bit_length() - 1)
-    quantized = scratch(("glcm_quant",), px.shape, np.uint8)
-    np.right_shift(px, shift, out=quantized)
-    wide = scratch(("glcm_wide",), px.shape, np.intp)
-    np.multiply(quantized, levels, out=wide, dtype=np.intp)
+    q = quantize(px, levels)
+    first, *rest = cfg.offsets
+    # The first offset pairs 8-bit source pixels with quantized partners.
+    # Summed over partners this counts every pixel of the source region, so
+    # the histogram needs only the border strips outside it counted apart;
+    # summed over each level's 256/L source values it is the offset's GLCM.
+    joint = _pair_counts(px, q, first, 256, levels)
+    y0, y1, x0, x1 = _pair_region(px.shape, first)
+    border = np.concatenate(
+        [px[:y0].ravel(), px[y1:].ravel(), px[y0:y1, :x0].ravel(), px[y0:y1, x1:].ravel()]
+    )
+    hist = _histogram(joint.sum(axis=1) + np.bincount(border, minlength=256), px.size)
+    counts = [joint.reshape(levels, 256 // levels, levels).sum(axis=1)]
+    counts += [_pair_counts(q, q, offset, levels, levels) for offset in rest]
 
-    weights = _WEIGHT_CACHE[levels]
-    asm_sum = 0.0
-    hom_sum = 0.0
-    img_h, img_w = px.shape
-    for dx, dy in cfg.offsets:
-        y0, y1 = max(0, -dy), img_h - max(0, dy)
-        x0, x1 = max(0, -dx), img_w - max(0, dx)
-        if y1 <= y0 or x1 <= x0:
-            raise ValueError("empty co-occurrence")
-        codes = scratch(("glcm_codes", dx, dy), (y1 - y0, x1 - x0), np.intp)
-        np.add(
-            wide[y0:y1, x0:x1],
-            quantized[y0 + dy : y1 + dy, x0 + dx : x1 + dx],
-            out=codes,
-            casting="unsafe",
-        )
-        counts = np.bincount(codes.ravel(), minlength=levels * levels).reshape(levels, levels)
-        if cfg.symmetric:
-            counts = counts + counts.T
-        P = counts / counts.sum()
-        asm_sum += float(np.sum(P * P))
-        hom_sum += float(np.sum(P * weights))
-    n = len(cfg.offsets)
-    asm = asm_sum / n
-    tex = TextureFeatures(asm=asm, energy=math.sqrt(asm), homogeneity=hom_sum / n)
-    return tex, histogram_stats(px)
+    texs = [texture_features(_normalize(c, cfg.symmetric)) for c in counts]
+    asm = sum(t.asm for t in texs) / len(texs)
+    homogeneity = sum(t.homogeneity for t in texs) / len(texs)
+    return TextureFeatures(asm=asm, energy=math.sqrt(asm), homogeneity=homogeneity), hist
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +453,10 @@ def compute_feature_table(
 
 
 # Below this many pixels across a session's distinct frames the features
-# are computed serially.  Pool start-up and teardown cost about 80 ms on two
-# cores and break even near 5 Mpx; the margin above that keeps short
-# sessions, whose saving would be within noise, off the pool.
+# are computed serially.  On two cores the pool breaks even at about 6 to
+# 10 Mpx (320x240 frames in memory, 640x480 frames decoded from disk); the
+# margin above that keeps short sessions, whose saving would be within
+# noise, off the pool.
 _POOL_MIN_PIXELS = 1 << 24
 # Each worker takes about this many chunks of frames, so that a slow chunk
 # near the end leaves little idle time on the other workers.

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._scratch import scratch
 from .core import SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply, q_normalize
 from .fusion import _interpolate_on_grid, _slerp_pairs, hemisphere_align
 from .ingest import Frame, PoseSample, Session, write_session
@@ -354,8 +353,7 @@ def gen_phantom_frame(
     align = float(np.exp(-((theta / ALIGNMENT_SIGMA_RAD) ** 2)))
     contrast = _CONTRAST_BASE + _CONTRAST_GAIN * align
     field = _base_field(width, height, seed)
-    buf = scratch(("phantom_render",), field.shape, np.float32)
-    np.multiply(field, np.float32(contrast), out=buf)
+    buf = field * np.float32(contrast)
     buf += np.float32(128.0)
     np.rint(buf, out=buf)
     np.clip(buf, 0.0, 255.0, out=buf)

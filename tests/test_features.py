@@ -8,6 +8,7 @@ from scanskill.core import q_from_axis_angle, q_multiply, q_normalize
 from scanskill.features import (
     GlcmConfig,
     SmoothnessConfig,
+    TextureFeatures,
     angular_velocity,
     frame_features,
     glcm,
@@ -245,6 +246,86 @@ class TestFrameFeatures:
             assert abs(tex.homogeneity - np.mean(homs)) <= 1e-12
 
 
+class TestFrameFeaturesExact:
+    """``frame_features`` equals the public reference composition bit for bit."""
+
+    # The first offset decides which border strips the histogram counts
+    # apart; between them these sets leave strips on all four sides.
+    OFFSET_SETS = (
+        ((1, 0), (0, 1), (1, 1), (-1, 1)),
+        ((-1, -2), (3, 1)),
+        ((0, -1),),
+        ((1, 2), (-1, 0)),
+    )
+    SHAPES = ((2, 2), (1, 9), (9, 1), (48, 64))
+
+    @staticmethod
+    def composed(img, cfg):
+        q = quantize(img, cfg.levels, roi=cfg.roi)
+        texs = [texture_features(glcm(q, cfg.levels, o, cfg.symmetric)) for o in cfg.offsets]
+        asm = sum(t.asm for t in texs) / len(texs)
+        hom = sum(t.homogeneity for t in texs) / len(texs)
+        return TextureFeatures(asm, math.sqrt(asm), hom), histogram_stats(img, roi=cfg.roi)
+
+    @staticmethod
+    def outcome(fn, img, cfg):
+        try:
+            return fn(img, cfg)
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def images(shape):
+        h, w = shape
+        yy, xx = np.mgrid[:h, :w]
+        smooth = 128 + 120 * np.sin(xx / 6.0) * np.cos(yy / 4.0)
+        return {
+            "zero": np.zeros(shape, dtype=np.uint8),
+            "saturated": np.full(shape, 255, dtype=np.uint8),
+            "random": np.random.default_rng(h * 100 + w).integers(0, 256, shape, dtype=np.uint8),
+            "smooth": np.rint(smooth).astype(np.uint8),
+        }
+
+    def assert_same(self, img, cfg):
+        got = self.outcome(frame_features, img, cfg)
+        want = self.outcome(self.composed, img, cfg)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        (tex, hist), (tex_ref, hist_ref) = got, want
+        assert tex == tex_ref
+        assert np.array_equal(hist.bins, hist_ref.bins)
+        assert (hist.mean, hist.variance, hist.entropy) == (
+            hist_ref.mean, hist_ref.variance, hist_ref.entropy
+        )
+
+    @pytest.mark.parametrize("levels", [8, 16, 32, 64])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_composition(self, levels, symmetric):
+        for h, w in self.SHAPES:
+            for roi in (None, (w // 3, h // 3, w - w // 3, h - h // 3)):
+                for offsets in self.OFFSET_SETS:
+                    cfg = GlcmConfig(levels=levels, offsets=offsets, symmetric=symmetric, roi=roi)
+                    for img in self.images((h, w)).values():
+                        self.assert_same(img, cfg)
+
+    @pytest.mark.parametrize(
+        "shape, cfg, message",
+        [
+            ((2, 2), GlcmConfig(offsets=((-1, -2), (3, 1))), "empty co-occurrence"),
+            ((1, 9), GlcmConfig(offsets=((1, 0), (0, 1))), "empty co-occurrence"),
+            ((9, 1), GlcmConfig(), "empty co-occurrence"),
+            ((48, 64), GlcmConfig(roi=(10, 0, 55, 48)), "roi out of bounds"),
+            ((48, 64), GlcmConfig(roi=(0, 40, 64, 9)), "roi out of bounds"),
+        ],
+    )
+    def test_same_errors(self, shape, cfg, message):
+        img = self.images(shape)["random"]
+        with pytest.raises(ValueError, match=message):
+            frame_features(img, cfg)
+        self.assert_same(img, cfg)
+
+
 class TestHistogram:
     def test_bins_sum_to_one_and_entropy_bound(self):
         rng = np.random.default_rng(7)
@@ -255,6 +336,12 @@ class TestHistogram:
             assert 0.0 <= h.entropy <= 8.0
             assert abs(h.mean - img.mean()) <= 1e-9
             assert abs(h.variance - img.astype(np.float64).var()) <= 1e-9
+
+    def test_roi_out_of_bounds(self):
+        img = np.full((10, 10), 7, dtype=np.uint8)
+        with pytest.raises(ValueError, match="roi out of bounds"):
+            histogram_stats(img, roi=(5, 5, 10, 10))
+        assert histogram_stats(img, roi=(5, 5, 5, 5)).bins[7] == 1.0
 
 
 # --- motion ------------------------------------------------------------------
