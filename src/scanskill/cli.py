@@ -9,11 +9,9 @@ Exit codes: 0 success, 1 validation findings, 2 usage error, 3 pipeline
 error.  Given identical inputs and flags, every command writes byte-identical
 output files.
 
-Numeric defaults follow the library modules; ``--config FILE`` loads a JSON
-object overriding any of them, and explicit flags override the file.
-Recognized config keys: delta_t_us, pose_policy, frame_policy,
-max_frame_staleness_us, levels, offsets, symmetric, roi,
-speed_smoothing_window, sparc_cutoff_hz, sparc_amplitude_threshold.
+``--config FILE`` loads a JSON object whose keys are the fields of
+``ResampleConfig``, ``GlcmConfig`` and ``SmoothnessConfig``; explicit flags
+override the file, and absent keys take the dataclass defaults.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: the session directory)")
         p.add_argument("--config", help="JSON file overriding pipeline defaults")
         p.add_argument("--delta-t-us", type=int, help="fusion grid step in microseconds")
-        p.add_argument("--max-staleness-us", type=int, help="maximum frame staleness")
+        p.add_argument("--max-staleness-us", type=int, dest="max_frame_staleness_us",
+                       help="maximum frame staleness")
         p.add_argument("--levels", type=int, help="GLCM quantization levels (8|16|32|64)")
         p.add_argument(
             "--offsets", type=_parse_offsets, help="GLCM offsets, e.g. '1,0;0,1;1,1;-1,1'"
@@ -105,6 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a spaced value starting with '-' ('--offsets -1,0;0,1')
+    # for an option; the joined '--offsets=-1,0;0,1' form is unambiguous.
+    while "--offsets" in argv[:-1]:
+        i = argv.index("--offsets")
+        argv[i : i + 2] = [f"--offsets={argv[i + 1]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -138,54 +144,6 @@ def entry() -> None:  # console-script entry point
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_int_list(value, n: int) -> bool:
-    return isinstance(value, list) and len(value) == n and all(map(_is_int, value))
-
-
-# Recognized --config keys: what each JSON value must be, and its check.
-_CONFIG_TYPES = {
-    "delta_t_us": ("an integer", _is_int),
-    "pose_policy": ("a string", lambda v: isinstance(v, str)),
-    "frame_policy": ("a string", lambda v: isinstance(v, str)),
-    "max_frame_staleness_us": ("an integer", _is_int),
-    "levels": ("an integer", _is_int),
-    "offsets": (
-        "a list of [dx, dy] integer pairs",
-        lambda v: isinstance(v, list) and all(_is_int_list(pair, 2) for pair in v),
-    ),
-    "symmetric": ("true or false", lambda v: isinstance(v, bool)),
-    "roi": ("null or [x, y, w, h] integers", lambda v: v is None or _is_int_list(v, 4)),
-    "speed_smoothing_window": ("an integer", _is_int),
-    "sparc_cutoff_hz": ("a number", _is_number),
-    "sparc_amplitude_threshold": ("a number", _is_number),
-}
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for key, value in doc.items():
-        expected, check = _CONFIG_TYPES[key]
-        if not check(value):
-            raise ValueError(f"config key {key} must be {expected}, got {json.dumps(value)}")
-    return doc
-
-
 def _parse_offsets(text: str) -> tuple[tuple[int, int], ...]:
     try:
         pairs = tuple(
@@ -217,42 +175,29 @@ def _parse_frame_size(text: str) -> tuple[int, int]:
 
 
 def _pipeline_configs(args) -> tuple[ResampleConfig, GlcmConfig, SmoothnessConfig]:
+    """The three configs from ``--config``, with explicit flags merged over it.
+
+    Each dataclass checks its own values; a key it does not declare takes
+    its default.
+    """
     from .features import GlcmConfig, SmoothnessConfig
     from .fusion import ResampleConfig
 
-    cfg = _load_config(args.config)
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return cfg.get(key, fallback)
-
-    fuse_cfg = ResampleConfig(
-        delta_t_us=pick(args.delta_t_us, "delta_t_us", 10_000),
-        pose_policy=cfg.get("pose_policy", "slerp"),
-        frame_policy=cfg.get("frame_policy", "nearest"),
-        max_frame_staleness_us=pick(args.max_staleness_us, "max_frame_staleness_us", 100_000),
+    classes = (ResampleConfig, GlcmConfig, SmoothnessConfig)
+    known = {f.name for cls in classes for f in fields(cls)}
+    cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        unknown = set(cfg) - known
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, sorted(unknown)))}")
+    cfg.update((k, v) for k, v in vars(args).items() if k in known and v is not None)
+    return tuple(
+        cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}) for cls in classes
     )
-    offsets = args.offsets
-    if offsets is None and "offsets" in cfg:
-        offsets = tuple(map(tuple, cfg["offsets"]))
-    roi = args.roi
-    if roi is None and cfg.get("roi") is not None:
-        roi = tuple(cfg["roi"])
-    glcm_kwargs = {"roi": roi}
-    if offsets is not None:
-        glcm_kwargs["offsets"] = offsets
-    glcm_cfg = GlcmConfig(
-        levels=pick(args.levels, "levels", 32),
-        symmetric=cfg.get("symmetric", True),
-        **glcm_kwargs,
-    )
-    smoothness = SmoothnessConfig(
-        speed_smoothing_window=cfg.get("speed_smoothing_window", 5),
-        sparc_cutoff_hz=float(cfg.get("sparc_cutoff_hz", 10.0)),
-        sparc_amplitude_threshold=float(cfg.get("sparc_amplitude_threshold", 0.05)),
-    )
-    return fuse_cfg, glcm_cfg, smoothness
 
 
 def _out_dir(args) -> Path:

@@ -16,6 +16,7 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+# Integer settings meet int64 arrays (grid times, smoothing-window indices),
+# so they stay within int64.
+INT64_MAX = 2**63 - 1
 
 PARTICIPANT_ROLES = ("expert", "novice", "unknown")
 
@@ -128,3 +133,29 @@ class SessionMeta:
             raise ValueError("trial must be >= 1")
         if not (self.pose_rate_hz > 0 and self.frame_rate_hz > 0):
             raise ValueError("rates must be positive")
+
+
+# ---------------------------------------------------------------------------
+# config value checks, shared by the pipeline's config dataclasses
+
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool`` (JSON ``true`` is no integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer in ``[1, INT64_MAX]``."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if value > INT64_MAX:
+        raise ValueError(f"{name} must be <= {INT64_MAX}")
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite int or float."""
+    # abs() <= max also rejects NaN, and compares huge ints exactly.
+    if not (is_int(value) or isinstance(value, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

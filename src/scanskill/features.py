@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import q_geodesic_angle, q_inverse, q_multiply
+from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_multiply
 from .ingest import Frame, Session
 
 __all__ = [
@@ -73,18 +73,32 @@ class GlcmConfig:
     roi: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.levels not in ALLOWED_LEVELS:
-            raise ValueError(f"levels must be one of {ALLOWED_LEVELS}")
-        offsets = tuple((int(dx), int(dy)) for dx, dy in self.offsets)
+        if not is_int(self.levels) or self.levels not in ALLOWED_LEVELS:
+            raise ValueError(f"levels must be one of {ALLOWED_LEVELS}, got {self.levels!r}")
+        if not isinstance(self.offsets, (list, tuple)) or not all(
+            _is_int_seq(pair, 2) for pair in self.offsets
+        ):
+            raise ValueError(f"offsets must be (dx, dy) integer pairs, got {self.offsets!r}")
+        offsets = tuple(map(tuple, self.offsets))
         if not offsets:
             raise ValueError("offsets must be non-empty")
         if (0, 0) in offsets:
             raise ValueError("offset (0, 0) is not a displacement")
         object.__setattr__(self, "offsets", offsets)
+        if not isinstance(self.symmetric, bool):
+            raise ValueError(f"symmetric must be a bool, got {self.symmetric!r}")
         if self.roi is not None:
+            if not _is_int_seq(self.roi, 4):
+                raise ValueError(f"roi must be None or (x, y, w, h) integers, got {self.roi!r}")
             x, y, w, h = self.roi
             if w <= 0 or h <= 0 or x < 0 or y < 0:
                 raise ValueError("roi must be (x, y, w, h) with positive size")
+            object.__setattr__(self, "roi", tuple(self.roi))
+
+
+def _is_int_seq(value, n: int) -> bool:
+    """True for a list or tuple of ``n`` integers."""
+    return isinstance(value, (list, tuple)) and len(value) == n and all(map(is_int, value))
 
 
 class TextureFeatures(NamedTuple):
@@ -123,9 +137,9 @@ class SmoothnessConfig:
     sparc_amplitude_threshold: float = 0.05
 
     def __post_init__(self) -> None:
-        window = self.speed_smoothing_window
-        if not isinstance(window, int) or window < 1:
-            raise ValueError("speed_smoothing_window must be an integer >= 1")
+        check_int("speed_smoothing_window", self.speed_smoothing_window)
+        for name in ("sparc_cutoff_hz", "sparc_amplitude_threshold"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not self.sparc_cutoff_hz > 0:
             raise ValueError("sparc_cutoff_hz must be > 0")
         if not 0 < self.sparc_amplitude_threshold <= 1:
@@ -490,9 +504,9 @@ def _distinct_frame_features(
 
     Large sessions are spread over a fork process pool, one worker per CPU
     this process may run on.  The workers inherit ``frames`` and ``cfg``
-    through the fork and decode on-disk frames themselves without caching
-    them, so the caller never holds the decoded session.  A worker that dies
-    raises ``concurrent.futures.BrokenExecutor`` here.
+    through the fork and decode on-disk frames themselves, so the caller
+    never holds the decoded session.  A worker that dies raises
+    ``concurrent.futures.BrokenExecutor`` here.
     """
     workers = _pool_workers(frames, indices)
     if workers <= 1:
@@ -514,7 +528,7 @@ def _init_worker(frames: Sequence[Frame], cfg: GlcmConfig) -> None:
 
 def _worker_frame_features(i: int) -> tuple[TextureFeatures, HistogramStats]:
     frames, cfg = _worker_job
-    return frame_features(frames[i].read_pixels(), cfg)
+    return frame_features(frames[i], cfg)
 
 
 def write_features_csv(dest, records: Iterable[FeatureRecord]) -> None:

@@ -21,7 +21,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import q_normalize
+from .core import check_int, q_normalize
 from .ingest import PoseSample, Session
 
 __all__ = [
@@ -41,9 +41,6 @@ FUSED_HEADER = "t_us,w,x,y,z,frame_idx,staleness_us"
 # the two agree to O(angle^2) there and lerp avoids the 0/0.
 _SLERP_MIN_ANGLE = 1e-7
 
-# Grid times are int64; a step or window beyond this would overflow them.
-_INT64_MAX = 2**63 - 1
-
 PosePolicy = Literal["slerp", "nearest"]
 FramePolicy = Literal["nearest", "latest_not_after"]
 
@@ -58,11 +55,8 @@ class ResampleConfig:
     max_frame_staleness_us: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.delta_t_us < 1:
-            raise ValueError("delta_t_us must be >= 1")
         for name in ("delta_t_us", "max_frame_staleness_us"):
-            if getattr(self, name) > _INT64_MAX:
-                raise ValueError(f"{name} must be <= {_INT64_MAX}")
+            check_int(name, getattr(self, name))
         if self.pose_policy not in ("slerp", "nearest"):
             raise ValueError(f"unknown pose_policy {self.pose_policy!r}")
         if self.frame_policy not in ("nearest", "latest_not_after"):

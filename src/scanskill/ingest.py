@@ -9,9 +9,7 @@ On-disk layout of one session directory::
 
 ``pose.csv`` quaternions are Hamilton scalar-first (see
 :mod:`scanskill.core`); adapters for sensors using other conventions must
-convert before writing this format.  Frame pixel data is loaded lazily and
-cached on first access; a load is idempotent, so concurrent access to a
-loaded Session is safe.
+convert before writing this format.
 """
 
 from __future__ import annotations
@@ -67,9 +65,9 @@ class PoseSample:
 class Frame:
     """One timestamped 8-bit grayscale ultrasound frame.
 
-    ``pixels`` is a ``(height, width)`` uint8 array.  For frames referenced
-    from disk it is read on first access and cached; the cached value never
-    changes afterwards.
+    ``pixels`` is a ``(height, width)`` uint8 array.  A frame referenced
+    from disk decodes its file on every access and keeps nothing, so a
+    caller visiting each frame once holds one decoded frame at a time.
     """
 
     __slots__ = ("t_us", "width", "height", "_pixels", "_path")
@@ -96,16 +94,6 @@ class Frame:
 
     @property
     def pixels(self) -> np.ndarray:
-        if self._pixels is None:
-            self._pixels = self.read_pixels()
-        return self._pixels
-
-    def read_pixels(self) -> np.ndarray:
-        """The pixels, decoded from the backing file unless already cached.
-
-        Unlike :attr:`pixels` this never caches, so a caller visiting each
-        frame once holds one decoded frame at a time.
-        """
         if self._pixels is not None:
             return self._pixels
         w, h, data = read_pgm(self._path)

@@ -10,7 +10,7 @@ calibrated thresholds; ``compare`` ranks two reports directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -239,19 +239,15 @@ def report_document(
     for metric in METRIC_ORDER:
         doc[metric] = getattr(report, metric)
     doc["flags"] = list(report.flags)
-    doc["config"] = {
-        "delta_t_us": fuse_cfg.delta_t_us,
-        "pose_policy": fuse_cfg.pose_policy,
-        "frame_policy": fuse_cfg.frame_policy,
-        "max_frame_staleness_us": fuse_cfg.max_frame_staleness_us,
-        "glcm": {
-            "levels": glcm_cfg.levels,
-            "offsets": [list(o) for o in glcm_cfg.offsets],
-            "symmetric": glcm_cfg.symmetric,
-            "roi": list(glcm_cfg.roi) if glcm_cfg.roi else None,
-        },
-        "speed_smoothing_window": smoothness.speed_smoothing_window,
-        "sparc_cutoff_hz": smoothness.sparc_cutoff_hz,
-        "sparc_amplitude_threshold": smoothness.sparc_amplitude_threshold,
-    }
+    doc["config"] = {**_config_echo(fuse_cfg), "glcm": _config_echo(glcm_cfg),
+                     **_config_echo(smoothness)}
     return doc
+
+
+def _config_echo(cfg) -> dict:
+    """A config dataclass's fields in declaration order, tuples as lists."""
+    return {f.name: _as_json(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _as_json(value):
+    return [_as_json(v) for v in value] if isinstance(value, tuple) else value

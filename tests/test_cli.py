@@ -1,17 +1,30 @@
+import contextlib
+import dataclasses
 import importlib
+import io
 import json
+import re
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanskill
 from scanskill.cli import main
-from scanskill.ingest import PoseSample, write_session
+from scanskill.features import GlcmConfig, SmoothnessConfig
+from scanskill.fusion import ResampleConfig
+from scanskill.ingest import Frame, PoseSample, write_session
 from scanskill.skill import METRIC_ORDER
 
-from conftest import IDENTITY, constant_frame, make_session, run_python
+from conftest import IDENTITY, constant_frame, make_session, run_python, smooth_pose_walk
 
 SYNTH_ARGS = ["--frame-size", "48x36"]
+
+CONFIG_CLASSES = (ResampleConfig, GlcmConfig, SmoothnessConfig)
+CONFIG_FIELDS = [f for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)]
 
 # Every name the package re-exports, with the module that defines it.
 PACKAGE_EXPORTS = {
@@ -137,6 +150,8 @@ class TestPipelineCommands:
             {"sparc_amplitude_threshold": 2},
             {"delta_t_us": 10**30, "max_frame_staleness_us": 10**30},
             {"max_frame_staleness_us": 10**30},
+            {"speed_smoothing_window": 10**30},
+            {"sparc_cutoff_hz": 1e400},
         ],
     )
     def test_bad_config_value_is_one_line_error(self, session_dir, tmp_path, capsys, doc):
@@ -166,6 +181,15 @@ class TestPipelineCommands:
         ) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["glcm"]["offsets"] == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "flags", [["--offsets", "-1,-2;3,1"], ["--offsets=-1,-2;3,1"]], ids=["spaced", "joined"]
+    )
+    def test_offsets_flag_negative_first_dx(self, session_dir, tmp_path, flags):
+        out = tmp_path / "offs"
+        assert main(["report", "--session", str(session_dir), "--out", str(out), *flags]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["glcm"]["offsets"] == [[-1, -2], [3, 1]]
 
     def test_bad_offsets_is_usage_error(self, session_dir):
         assert main(["report", "--session", str(session_dir), "--offsets", "diag"]) == 2
@@ -288,3 +312,112 @@ class TestEntryPoints:
         for name, module in PACKAGE_EXPORTS.items():
             assert getattr(scanskill, name) is getattr(importlib.import_module(module), name)
         assert sorted(scanskill.__all__) == sorted(PACKAGE_EXPORTS)
+
+
+def _run(argv: list[str]) -> tuple[int, list[str]]:
+    """``main(argv)`` in-process: its exit code and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _write_random_session(
+    path: Path, seed: int, n_poses: int, pose_step_us: int, frame_step_us: int
+) -> Path:
+    rng = np.random.default_rng(seed)
+    poses = smooth_pose_walk(rng, [k * pose_step_us for k in range(n_poses)])
+    frames = [
+        Frame(t, 16, 12, pixels=rng.integers(0, 256, (12, 16), dtype=np.uint8))
+        for t in range(0, poses[-1].t_us + 1, frame_step_us)
+    ]
+    path.mkdir(parents=True)
+    write_session(path, make_session(poses, frames, session_id=f"random-{seed}"))
+    return path
+
+
+# Any JSON value, and per key some values the dataclass accepts, so that
+# both exit 0 and exit 3 are reached.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+SMALL_INTS = st.integers(-3, 3)
+PLAUSIBLE = {
+    "delta_t_us": st.integers(200, 4_000),
+    "pose_policy": st.sampled_from(["slerp", "nearest"]),
+    "frame_policy": st.sampled_from(["nearest", "latest_not_after"]),
+    "max_frame_staleness_us": st.integers(200, 2**80),
+    "levels": st.sampled_from([8, 16, 32, 64]),
+    "offsets": st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2), max_size=4),
+    "symmetric": st.booleans(),
+    "roi": st.none() | st.lists(st.integers(0, 16), min_size=4, max_size=4),
+    "speed_smoothing_window": st.integers(1, 2**80),
+    "sparc_cutoff_hz": st.floats(min_value=1e-3) | st.integers(1, 10**6),
+    "sparc_amplitude_threshold": st.floats(1e-6, 1.0),
+}
+CONFIG_DOCS = st.fixed_dictionaries({}, optional=PLAUSIBLE) | st.fixed_dictionaries(
+    {}, optional={f.name: JSON_VALUES | PLAUSIBLE[f.name] for f in CONFIG_FIELDS}
+)
+
+
+class TestProperties:
+    @pytest.fixture(scope="class")
+    def tiny_session(self, tmp_path_factory):
+        # 12 ms of poses, so that even a 1 us grid step stays a small grid.
+        return _write_random_session(tmp_path_factory.mktemp("fuzz") / "s", 0, 13, 1_000, 2_000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=CONFIG_DOCS)
+    def test_any_config_exits_0_or_3_with_one_line(self, tiny_session, tmp_path_factory, doc):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path_factory.getbasetemp() / "fuzz-out"
+        code, err = _run(["report", "--session", str(tiny_session), "--out", str(out),
+                          "--config", str(cfg)])
+        assert code in (0, 3)
+        assert len(err) == 1
+        assert err[0].startswith("wrote " if code == 0 else "error: ")
+        if code == 0:  # strict JSON: no NaN or Infinity
+            json.loads((out / "report.json").read_text(), parse_constant=self._no_constant)
+
+    @staticmethod
+    def _no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    @pytest.fixture(scope="class")
+    def moving_session(self, tmp_path_factory):
+        session = _write_random_session(
+            tmp_path_factory.mktemp("flips") / "s", 1, 200, 10_000, 40_000
+        )
+        code, _ = _run(["report", "--session", str(session)])
+        assert code == 0
+        return session
+
+    @settings(max_examples=10, deadline=None)
+    @given(flips=st.lists(st.booleans(), min_size=200, max_size=200))
+    def test_pose_sign_flips_leave_report_unchanged(self, moving_session, tmp_path_factory, flips):
+        # q and -q are the same rotation.
+        flipped = tmp_path_factory.getbasetemp() / "flipped"
+        shutil.rmtree(flipped, ignore_errors=True)
+        shutil.copytree(moving_session, flipped)
+        header, *rows = (moving_session / "pose.csv").read_text().splitlines()
+        for i, flip in enumerate(flips):
+            if flip:
+                t_us, *q = rows[i].split(",")
+                rows[i] = ",".join([t_us, *(v[1:] if v[0] == "-" else "-" + v for v in q)])
+        (flipped / "pose.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert _run(["report", "--session", str(flipped)])[0] == 0
+        assert (flipped / "report.json").read_bytes() == (
+            moving_session / "report.json").read_bytes()
+
+
+def test_readme_lists_config_keys_and_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| .* \| `(.*)` \|$", readme, flags=re.MULTILINE)
+    documented = {key: json.loads(default) for key, default in rows}
+    assert documented == {
+        f.name: json.loads(json.dumps(f.default)) for f in CONFIG_FIELDS
+    }

@@ -509,3 +509,52 @@ class TestSmoothnessConfig:
 
     def test_range_edges_accepted(self):
         SmoothnessConfig(speed_smoothing_window=1, sparc_amplitude_threshold=1.0)
+        SmoothnessConfig(speed_smoothing_window=2**63 - 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed_smoothing_window", True),
+            ("speed_smoothing_window", 10**30),
+            ("sparc_cutoff_hz", math.inf),
+            ("sparc_cutoff_hz", 10**400),
+            ("sparc_cutoff_hz", "10"),
+            ("sparc_amplitude_threshold", None),
+        ],
+        ids=["window-bool", "window-huge", "cutoff-inf", "cutoff-huge-int", "cutoff-str",
+             "threshold-none"],
+    )
+    def test_mistyped_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SmoothnessConfig(**{field: value})
+
+    def test_sparc_values_stored_as_float(self):
+        cfg = SmoothnessConfig(sparc_cutoff_hz=10, sparc_amplitude_threshold=1)
+        assert (cfg.sparc_cutoff_hz, cfg.sparc_amplitude_threshold) == (10.0, 1.0)
+        assert type(cfg.sparc_cutoff_hz) is float and type(cfg.sparc_amplitude_threshold) is float
+
+
+class TestGlcmConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("levels", 32.0),
+            ("levels", True),
+            ("offsets", [("1", "0")]),
+            ("offsets", [(1, 0, 0)]),
+            ("offsets", ((True, 0),)),
+            ("offsets", "10"),
+            ("symmetric", "false"),
+            ("symmetric", 1),
+            ("roi", (0.5, 0, 10, 10)),
+            ("roi", (0, 0, 10)),
+        ],
+    )
+    def test_mistyped_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GlcmConfig(**{field: value})
+
+    def test_lists_become_tuples(self):
+        cfg = GlcmConfig(offsets=[[1, 0], [0, 1]], roi=[0, 0, 4, 4])
+        assert cfg == GlcmConfig(offsets=((1, 0), (0, 1)), roi=(0, 0, 4, 4))
+        assert hash(cfg) == hash(GlcmConfig(offsets=((1, 0), (0, 1)), roi=(0, 0, 4, 4)))

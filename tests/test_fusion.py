@@ -264,6 +264,20 @@ class TestResampleConfig:
         with pytest.raises(ValueError, match="pose_policy"):
             ResampleConfig(pose_policy="cubic")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta_t_us", 10000.5),
+            ("delta_t_us", True),
+            ("max_frame_staleness_us", "100000"),
+            ("pose_policy", 1),
+            ("frame_policy", ["nearest"]),
+        ],
+    )
+    def test_mistyped_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ResampleConfig(**{field: value})
+
     def test_values_beyond_int64_rejected(self):
         with pytest.raises(ValueError, match="delta_t_us must be <="):
             ResampleConfig(delta_t_us=2**63, max_frame_staleness_us=2**63)

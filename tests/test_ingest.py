@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scanskill.ingest import (
     write_session,
 )
 
-from conftest import IDENTITY, constant_frame, make_session
+from conftest import IDENTITY, constant_frame, make_session, run_python, smooth_pose_walk
 
 
 class TestPoseCsv:
@@ -313,5 +314,47 @@ class TestSessionRoundTrip:
         back = load_session(out)
         first = back.frames[1].pixels
         again = back.frames[1].pixels
-        assert first is again  # cached after first load
+        assert np.array_equal(first, again)  # each access decodes the same file
         assert np.array_equal(first, frames[1].pixels)
+
+
+# Runs `scanskill report` on one CPU, so on the serial feature path, in a
+# child of this small interpreter, and prints the child's exit code and peak
+# RSS in KiB.  The child's ru_maxrss also counts the memory of the process it
+# was started from, which is why the test does not start it directly.
+_REPORT_PEAK_RSS = """
+import os, subprocess, sys
+report = (
+    "import os, sys\\n"
+    "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\\n"
+    "from scanskill.cli import main\\n"
+    "sys.exit(main(['report', '--session', sys.argv[1], '--out', sys.argv[2]]))\\n"
+)
+proc = subprocess.Popen([sys.executable, "-c", report, *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_serial_report_memory_does_not_grow_with_frames(tmp_path):
+    width, height = 640, 480
+    peaks = []
+    for n_frames in (10, 100):
+        rng = np.random.default_rng(n_frames)
+        poses = smooth_pose_walk(rng, [k * 10_000 for k in range(4 * n_frames)])
+        frames = [
+            Frame(k * 40_000, width, height,
+                  pixels=rng.integers(0, 256, (height, width), dtype=np.uint8))
+            for k in range(n_frames)
+        ]
+        session = tmp_path / f"s{n_frames}"
+        session.mkdir()
+        write_session(session, make_session(poses, frames))
+        del frames
+        proc = run_python("-c", _REPORT_PEAK_RSS, str(session), str(tmp_path / "out"))
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        peaks.append(peak_kib)
+    # A frame cache would hold 90 more frames (about 26 MiB) in the long run.
+    assert peaks[1] - peaks[0] <= 3 * width * height // 1024
