@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _SUBMODULE_EXPORTS = {
     "core": ("SessionMeta", "q_geodesic_angle", "q_inverse", "q_multiply", "q_normalize"),
     "features": (
-        "FeatureRecord", "GlcmConfig", "HistogramStats", "MotionSeries", "SmoothnessConfig",
+        "FeatureTable", "GlcmConfig", "HistogramStats", "MotionSeries", "SmoothnessConfig",
         "TextureFeatures", "angular_velocity", "compute_feature_table", "frame_features",
         "glcm", "log_dimensionless_jerk", "path_length", "sparc", "texture_features",
     ),

@@ -131,10 +131,11 @@ def _pipeline_errors() -> tuple[type[Exception], ...]:
 
     ``main`` calls this only once an exception reaches its handler, so the
     commands that never start a process pool do not import concurrent.futures.
+    ``RecursionError`` is what ``json.load`` raises on deeply nested input.
     """
     from concurrent.futures import BrokenExecutor
 
-    return (ValueError, OSError, KeyError, BrokenExecutor)
+    return (ValueError, OSError, KeyError, RecursionError, BrokenExecutor)
 
 
 def entry() -> None:  # console-script entry point
@@ -309,19 +310,14 @@ def _cmd_export_plot(args) -> int:
     path = _out_dir(args) / "plot.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_us,series,value\n")
-        hist_attr = {"hist_mean": "mean", "hist_var": "variance", "hist_entropy": "entropy"}
         for series in _PLOT_SERIES:
             if series.startswith("q"):
                 component = "wxyz".index(series[1])
                 for sample in fused:
                     fh.write(f"{sample.t_us},{series},{repr(float(sample.q[component]))}\n")
                 continue
-            for record in table:
-                if series in hist_attr:
-                    value = None if record.hist is None else getattr(record.hist, hist_attr[series])
-                else:
-                    value = None if record.texture is None else getattr(record.texture, series)
-                if value is not None:
-                    fh.write(f"{record.t_us},{series},{repr(value)}\n")
+            for t, value in zip(table.t_us.tolist(), getattr(table, series).tolist()):
+                if value == value:  # NaN: no frame at this instant
+                    fh.write(f"{t},{series},{value!r}\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -18,9 +18,9 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_
 from .ingest import Frame, Session
 
 __all__ = [
-    "FeatureRecord",
+    "FeatureTable",
     "GlcmConfig",
     "HistogramStats",
     "MotionSeries",
@@ -360,11 +360,14 @@ def smooth_speed(speed: np.ndarray, window: int = 5) -> np.ndarray:
 
 
 def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
-    """LDLJ of a speed profile: ``-ln((T^3 / v_peak^2) * sum (dv/dt)^2 * dt)``.
+    """LDLJ of a speed profile: ``-ln((T^3 / v_peak^2) * sum (d²v/dt²)^2 * dt)``.
 
-    ``dv/dt`` uses central differences (one-sided at the boundaries) and
-    ``T`` is the series duration.  Invariant under positive scaling of the
-    speed; more negative means jerkier.
+    ``d²v/dt²``, the jerk of the speed profile, is ``np.gradient`` applied
+    twice (central differences, one-sided at the boundaries), and ``T`` is
+    the series duration, as in Balasubramanian, Melendez-Calderon & Burdet
+    (IEEE TBME 59(8), 2012) and Balasubramanian et al. (JNER 12:112, 2015).
+    Invariant under positive scaling of the speed and, up to the
+    discretisation, of the duration; more negative means jerkier.
     """
     v = np.asarray(speed, dtype=np.float64)
     if v.size < 3:
@@ -372,9 +375,9 @@ def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
     v_peak = float(np.max(np.abs(v)))
     if v_peak == 0.0:
         raise ValueError("no motion")
-    dv = np.gradient(v, delta_t_s)
+    jerk = np.gradient(np.gradient(v, delta_t_s), delta_t_s)
     duration = (v.size - 1) * delta_t_s
-    cost = (duration**3 / v_peak**2) * float(np.sum(dv * dv)) * delta_t_s
+    cost = (duration**3 / v_peak**2) * float(np.sum(jerk * jerk)) * delta_t_s
     return -math.log(cost)
 
 
@@ -424,46 +427,49 @@ def sparc(
 # per-session feature table
 
 @dataclass(frozen=True)
-class FeatureRecord:
-    """Everything extracted at one fused grid instant."""
+class FeatureTable:
+    """The per-session feature series: one field per ``features.csv`` column, in order.
 
-    t_us: int
-    texture: TextureFeatures | None
-    hist: HistogramStats | None
-    omega: np.ndarray | None  # (3,) rad/s; None on the first grid row
-    speed: float | None
+    Row k is fused grid instant k.  The texture and histogram columns are
+    NaN where that instant has no frame; ``omega`` and ``speed`` are NaN on
+    row 0, which no grid step leads into.
+    """
+
+    t_us: np.ndarray  # (n,) int64
+    asm: np.ndarray  # (n,) float64, as are all but omega
+    energy: np.ndarray
+    homogeneity: np.ndarray
+    hist_mean: np.ndarray
+    hist_var: np.ndarray
+    hist_entropy: np.ndarray
+    omega: np.ndarray  # (n, 3) rad/s, body frame
+    speed: np.ndarray  # rad/s
+
+    def __len__(self) -> int:
+        return len(self.t_us)
 
 
-def compute_feature_table(
-    session: Session, fused: Sequence, cfg: GlcmConfig
-) -> list[FeatureRecord]:
+def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) -> FeatureTable:
     """Texture + histogram per grid instant, motion per grid step.
 
     Frame features are computed once per distinct frame and shared by all
     grid instants referencing it; large sessions compute them in a process
-    pool, with identical results.  Instants without an associated frame get
-    None texture/histogram.
+    pool, with identical results.
     """
-    if not fused:
-        return []
-    motion = None
-    if len(fused) >= 2:
-        delta = fused[1].t_us - fused[0].t_us
-        motion = angular_velocity(fused, delta)
-    distinct = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
-    per_frame = dict(zip(distinct, _distinct_frame_features(session.frames, distinct, cfg)))
-    records: list[FeatureRecord] = []
-    for k, sample in enumerate(fused):
-        tex = hist = None
-        if sample.frame_idx is not None:
-            tex, hist = per_frame[sample.frame_idx]
-        if k == 0 or motion is None:
-            omega, speed = None, None
-        else:
-            omega = motion.omega[k - 1]
-            speed = float(motion.speed[k - 1])
-        records.append(FeatureRecord(sample.t_us, tex, hist, omega, speed))
-    return records
+    n = len(fused)
+    t_us = np.array([s.t_us for s in fused], dtype=np.int64)
+    frame_idx = np.array([-1 if s.frame_idx is None else s.frame_idx for s in fused], np.int64)
+    has_frame = frame_idx >= 0
+    distinct, inverse = np.unique(frame_idx[has_frame], return_inverse=True)
+    rows = _distinct_frame_features(session.frames, distinct.tolist(), cfg)
+    per_frame = np.array(rows).reshape(-1, 6)
+    frame_columns = np.full((6, n), np.nan)
+    frame_columns[:, has_frame] = per_frame[inverse].T
+    omega, speed = np.full((n, 3), np.nan), np.full(n, np.nan)
+    if n >= 2:
+        motion = angular_velocity(fused, int(t_us[1] - t_us[0]))
+        omega[1:], speed[1:] = motion.omega, motion.speed
+    return FeatureTable(t_us, *frame_columns, omega, speed)
 
 
 # Below this many pixels across a session's distinct frames the features
@@ -497,10 +503,22 @@ def _pool_workers(frames: Sequence[Frame], indices: Sequence[int]) -> int:
     return min(len(os.sched_getaffinity(0)), len(indices))
 
 
+def _frame_row(frame: Frame, cfg: GlcmConfig) -> tuple[float, ...]:
+    """The six ``FeatureTable`` frame columns, asm to hist_entropy, of one frame.
+
+    Only these floats outlive the call.  Each frame's histogram bins and
+    GLCM temporaries are freed before the next frame is decoded, so no small
+    per-frame array is left between the frame-sized blocks on the heap,
+    where it would keep the allocator from reusing them.
+    """
+    tex, hist = frame_features(frame, cfg)
+    return (*tex, hist.mean, hist.variance, hist.entropy)
+
+
 def _distinct_frame_features(
     frames: Sequence[Frame], indices: Sequence[int], cfg: GlcmConfig
-) -> list[tuple[TextureFeatures, HistogramStats]]:
-    """``frame_features(frames[i], cfg)`` for each i in ``indices``, in order.
+) -> list[tuple[float, ...]]:
+    """``_frame_row(frames[i], cfg)`` for each i in ``indices``, in order.
 
     Large sessions are spread over a fork process pool, one worker per CPU
     this process may run on.  The workers inherit ``frames`` and ``cfg``
@@ -510,7 +528,7 @@ def _distinct_frame_features(
     """
     workers = _pool_workers(frames, indices)
     if workers <= 1:
-        return [frame_features(frames[i], cfg) for i in indices]
+        return [_frame_row(frames[i], cfg) for i in indices]
     chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(
         workers,
@@ -526,27 +544,18 @@ def _init_worker(frames: Sequence[Frame], cfg: GlcmConfig) -> None:
     _worker_job = (frames, cfg)
 
 
-def _worker_frame_features(i: int) -> tuple[TextureFeatures, HistogramStats]:
+def _worker_frame_features(i: int) -> tuple[float, ...]:
     frames, cfg = _worker_job
-    return frame_features(frames[i], cfg)
+    return _frame_row(frames[i], cfg)
 
 
-def write_features_csv(dest, records: Iterable[FeatureRecord]) -> None:
-    """Write the feature table as CSV; absent values are empty fields."""
+def write_features_csv(dest, table: FeatureTable) -> None:
+    """Write the feature table as CSV; NaN (absent) values are empty fields."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_features_csv(fh, records)
+            write_features_csv(fh, table)
         return
     dest.write(FEATURES_HEADER + "\n")
-    for r in records:
-        tex = ["", "", ""]
-        hist = ["", "", ""]
-        if r.texture is not None:
-            tex = [repr(r.texture.asm), repr(r.texture.energy), repr(r.texture.homogeneity)]
-        if r.hist is not None:
-            hist = [repr(r.hist.mean), repr(r.hist.variance), repr(r.hist.entropy)]
-        if r.omega is None:
-            motion = ["", "", "", ""]
-        else:
-            motion = [repr(float(c)) for c in r.omega] + [repr(r.speed)]
-        dest.write(",".join([str(r.t_us), *tex, *hist, *motion]) + "\n")
+    values = np.column_stack([getattr(table, f.name) for f in fields(table)[1:]])
+    for t, row in zip(table.t_us.tolist(), values.tolist()):
+        dest.write(",".join([str(t), *("" if v != v else repr(v) for v in row)]) + "\n")

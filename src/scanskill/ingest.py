@@ -308,19 +308,15 @@ def read_manifest(session_dir: str | Path) -> tuple[SessionMeta, dict | None]:
         raise ValueError(f"missing manifest {path}")
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {path} must hold a JSON object")
     unknown = set(doc) - set(_MANIFEST_KEYS) - set(_MANIFEST_EXTRA_KEYS)
     if unknown:
-        raise ValueError(f"unknown manifest key(s): {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown manifest key(s): {', '.join(map(repr, sorted(unknown)))}")
     missing = set(_MANIFEST_KEYS) - set(doc)
     if missing:
         raise ValueError(f"missing manifest key(s): {', '.join(sorted(missing))}")
-    meta = SessionMeta(
-        session_id=str(doc["session_id"]),
-        participant_role=doc["participant_role"],
-        trial=int(doc["trial"]),
-        pose_rate_hz=float(doc["pose_rate_hz"]),
-        frame_rate_hz=float(doc["frame_rate_hz"]),
-    )
+    meta = SessionMeta(**{key: doc[key] for key in _MANIFEST_KEYS})
     return meta, doc.get("synthetic_profile")
 
 

@@ -10,6 +10,7 @@ calibrated thresholds; ``compare`` ranks two reports directly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable
 
@@ -114,7 +115,7 @@ def build_report(
     flags: list[str] = []
     ldlj_val = sparc_val = None
     if n >= 2:
-        speed = smooth_speed([r.speed for r in table[1:]], smoothness.speed_smoothing_window)
+        speed = smooth_speed(table.speed[1:], smoothness.speed_smoothing_window)
         try:
             sparc_val = sparc(
                 speed,
@@ -131,13 +132,13 @@ def build_report(
     else:
         flags.append("session too short for motion metrics")
 
-    homogeneity = [r.texture.homogeneity for r in table if r.texture is not None]
+    has_frame = ~np.isnan(table.homogeneity)
     mean_asm = mean_energy = mean_homogeneity = stability = None
-    if homogeneity:
-        mean_asm = float(np.mean([r.texture.asm for r in table if r.texture is not None]))
-        mean_energy = float(np.mean([r.texture.energy for r in table if r.texture is not None]))
-        mean_homogeneity = float(np.mean(homogeneity))
-        stability = float(np.std(homogeneity))
+    if has_frame.any():
+        mean_asm = float(np.mean(table.asm[has_frame]))
+        mean_energy = float(np.mean(table.energy[has_frame]))
+        mean_homogeneity = float(np.mean(table.homogeneity[has_frame]))
+        stability = float(np.std(table.homogeneity[has_frame]))
     else:
         flags.append("no frames within staleness window")
 
@@ -214,18 +215,29 @@ def calibrate_thresholds(
     )
 
 
-def report_from_document(doc: dict) -> SkillReport:
-    """Rebuild a SkillReport from a parsed ``report.json`` document."""
+def report_from_document(doc) -> SkillReport:
+    """Rebuild a SkillReport from a parsed ``report.json`` document.
+
+    ValueError unless the document and its ``config`` are objects, each
+    metric is a finite number or null and the other fields have their types.
+    """
     try:
+        if not isinstance(doc, dict) or not isinstance(doc["config"], dict):
+            raise ValueError("report document and its config must be JSON objects")
         values = {metric: doc[metric] for metric in METRIC_ORDER}
-        return SkillReport(
-            session_id=doc["session_id"],
-            delta_t_us=int(doc["config"]["delta_t_us"]),
-            flags=tuple(doc.get("flags", ())),
-            **values,
-        )
+        session_id, delta_t_us = doc["session_id"], doc["config"]["delta_t_us"]
     except KeyError as exc:
         raise ValueError(f"report document missing key {exc}") from None
+    for metric, value in values.items():
+        # abs() <= max also rejects NaN, and compares huge ints exactly.
+        if value is not None and not (
+            type(value) in (int, float) and abs(value) <= sys.float_info.max
+        ):
+            raise ValueError(f"report {metric} must be a finite number or null, got {value!r}")
+    flags = doc.get("flags", [])
+    if type(session_id) is not str or type(flags) is not list or type(delta_t_us) is not int:
+        raise ValueError("report session_id, flags or config.delta_t_us has the wrong type")
+    return SkillReport(session_id=session_id, delta_t_us=delta_t_us, flags=tuple(flags), **values)
 
 
 def report_document(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scanskill
@@ -33,7 +33,7 @@ PACKAGE_EXPORTS = {
         "scanskill.core",
     ),
     **dict.fromkeys(
-        ["FeatureRecord", "GlcmConfig", "HistogramStats", "MotionSeries", "SmoothnessConfig",
+        ["FeatureTable", "GlcmConfig", "HistogramStats", "MotionSeries", "SmoothnessConfig",
          "TextureFeatures", "angular_velocity", "compute_feature_table", "frame_features",
          "glcm", "log_dimensionless_jerk", "path_length", "sparc", "texture_features"],
         "scanskill.features",
@@ -266,6 +266,51 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "leaves the session" in err[0]
 
+    def test_deep_config_is_pipeline_error(self, session_dir, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, err = _run(["fuse", "--session", str(session_dir), "--out", str(tmp_path / "o"),
+                          "--config", str(deep)])
+        assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
+
+    def test_deep_manifest_is_pipeline_error(self, session_dir, tmp_path):
+        bad = tmp_path / "deep"
+        shutil.copytree(session_dir, bad)
+        (bad / "manifest.json").write_text("[" * 100_000)
+        code, err = _run(["validate", "--session", str(bad)])
+        assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
+
+    def test_deep_report_is_pipeline_error(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, err = _run(["compare", str(deep), str(deep)])
+        assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("doc", [[1], {"pose_rate_hz": None}, {"trial": "1"},
+                                     {"session_id": 7}, {"frame_rate_hz": 1e400}])
+    def test_malformed_manifest_is_pipeline_error(self, session_dir, tmp_path, doc):
+        bad = tmp_path / "manifest"
+        shutil.copytree(session_dir, bad)
+        if isinstance(doc, dict):
+            doc = {**json.loads((bad / "manifest.json").read_text()), **doc}
+        (bad / "manifest.json").write_text(json.dumps(doc))
+        for command in ("validate", "report"):
+            code, err = _run([command, "--session", str(bad)])
+            assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("edit", [
+        [1], {"n_samples": "12"}, {"config": []}, {"sparc": True}, {"ldlj": [1.0]},
+        {"flags": 5}, {"session_id": None}, {"config": {"delta_t_us": None}},
+    ])
+    def test_malformed_report_is_pipeline_error(self, tmp_path, edit):
+        doc = dict.fromkeys(METRIC_ORDER, 1.0)
+        doc.update(session_id="a", n_samples=100, config={"delta_t_us": 10_000})
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(doc))
+        bad.write_text(json.dumps({**doc, **edit} if isinstance(edit, dict) else edit))
+        code, err = _run(["compare", str(good), str(bad)])
+        assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestEntryPoints:
     def test_python_dash_m(self, session_dir):
@@ -363,6 +408,45 @@ CONFIG_DOCS = st.fixed_dictionaries({}, optional=PLAUSIBLE) | st.fixed_dictionar
 )
 
 
+# Edits to an on-disk session: cut a file at a point, or overwrite a few
+# bytes there; in the PGM only the 13-byte header ("P5\n16 12\n255\n") is
+# touched.  The manifest also gets one key set to any JSON value, or is
+# replaced whole.
+CORRUPTED_FILES = ("pose.csv", "frames/index.csv", "frames/000003.pgm", "manifest.json")
+BYTE_EDITS = st.tuples(
+    st.sampled_from(CORRUPTED_FILES),
+    st.floats(0.0, 1.0),
+    st.none() | st.binary(max_size=6)
+    | st.sampled_from([b",", b"\n", b"-", b" ", b"0", b"9999999", b"nan", b"1e999", b"\xff"]),
+)
+RATES = JSON_VALUES | st.floats(-1.0, 1e3) | st.integers(-1, 1_000)
+MANIFEST_VALUES = {
+    None: JSON_VALUES,  # the whole document
+    "extra": JSON_VALUES,
+    "session_id": JSON_VALUES | st.text(max_size=4),
+    "participant_role": JSON_VALUES | st.sampled_from(["expert", "novice", "unknown"]),
+    "trial": JSON_VALUES | st.integers(-1, 3),
+    "pose_rate_hz": RATES,
+    "frame_rate_hz": RATES,
+}
+MANIFEST_EDITS = st.sampled_from(list(MANIFEST_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), MANIFEST_VALUES[key])
+)
+
+
+def _corrupt(session: Path, manifest_edit, byte_edits) -> None:
+    if manifest_edit is not None:
+        key, value = manifest_edit
+        path = session / "manifest.json"
+        doc = value if key is None else {**json.loads(path.read_text()), key: value}
+        path.write_text(json.dumps(doc))
+    for name, where, data in byte_edits:
+        path = session / name
+        raw = path.read_bytes()
+        at = int(where * (13 if name.endswith(".pgm") else len(raw)))
+        path.write_bytes(raw[:at] if data is None else raw[:at] + data + raw[at + len(data):])
+
+
 class TestProperties:
     @pytest.fixture(scope="class")
     def tiny_session(self, tmp_path_factory):
@@ -386,6 +470,29 @@ class TestProperties:
     @staticmethod
     def _no_constant(name):
         raise AssertionError(f"report.json holds {name}")
+
+    @settings(max_examples=80, deadline=None)
+    @given(manifest_edit=st.none() | MANIFEST_EDITS,
+           byte_edits=st.lists(BYTE_EDITS, max_size=2))
+    @example(manifest_edit=(None, [1]), byte_edits=[])
+    @example(manifest_edit=("pose_rate_hz", None), byte_edits=[])
+    def test_corrupt_session_exits_cleanly(
+        self, tiny_session, tmp_path_factory, manifest_edit, byte_edits
+    ):
+        broken = tmp_path_factory.getbasetemp() / "corrupt"
+        shutil.rmtree(broken, ignore_errors=True)
+        shutil.copytree(tiny_session, broken)
+        _corrupt(broken, manifest_edit, byte_edits)
+        for command in ("validate", "report"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, err = _run([command, "--session", str(broken)])
+            assert not any("Traceback" in line for line in err)
+            if code == 1:  # validation findings go to stdout
+                assert command == "validate" and err == []
+            elif code != 0:
+                assert code in (2, 3) and len(err) == 1 and err[0].startswith("error: ")
+            elif command == "report":
+                json.loads((broken / "report.json").read_text(), parse_constant=self._no_constant)
 
     @pytest.fixture(scope="class")
     def moving_session(self, tmp_path_factory):

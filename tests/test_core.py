@@ -127,6 +127,21 @@ class TestSessionMeta:
         with pytest.raises(ValueError, match="trial"):
             SessionMeta("s1", "expert", 0, 100.0, 25.0)
 
+    @pytest.mark.parametrize("fields", [
+        (7, "expert", 1, 100.0, 25.0),
+        ("s1", "expert", 1.0, 100.0, 25.0),
+        ("s1", "expert", True, 100.0, 25.0),
+        ("s1", "expert", 1, None, 25.0),
+        ("s1", "expert", 1, 100.0, float("inf")),
+    ])
+    def test_mistyped_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be"):
+            SessionMeta(*fields)
+
+    def test_rates_stored_as_float(self):
+        meta = SessionMeta("s1", "expert", 1, 100, 25)
+        assert type(meta.pose_rate_hz) is float and type(meta.frame_rate_hz) is float
+
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2 * math.pi))
 @settings(max_examples=50)

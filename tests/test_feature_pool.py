@@ -4,6 +4,7 @@ The pool engages only above ``features._POOL_MIN_PIXELS``; these tests lower
 that constant so small sessions take the pooled path.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import shutil
@@ -13,7 +14,7 @@ import pytest
 
 from scanskill import features
 from scanskill.cli import main
-from scanskill.features import GlcmConfig, compute_feature_table
+from scanskill.features import GlcmConfig, compute_feature_table, frame_features
 from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import load_session
 
@@ -58,24 +59,34 @@ def _table(session_dir, cfg):
     return session, table
 
 
-def _assert_same_records(a, b):
+def _frame_features(session_dir, cfg):
+    frames = load_session(session_dir).frames
+    return features._distinct_frame_features(frames, range(len(frames)), cfg)
+
+
+def _assert_same_frame_features(a, b):
     assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert ra.t_us == rb.t_us and ra.texture == rb.texture and ra.speed == rb.speed
-        assert (ra.hist is None) == (rb.hist is None)
-        if ra.hist is not None:
-            assert (ra.hist.mean, ra.hist.variance, ra.hist.entropy) == (
-                rb.hist.mean, rb.hist.variance, rb.hist.entropy)
-            assert np.array_equal(ra.hist.bins, rb.hist.bins)
+    for row_a, row_b in zip(a, b):
+        assert len(row_a) == 6 and row_a == row_b
+
+
+def _assert_same_table(a, b):
+    assert len(a) == len(b)
+    for column in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, column.name), getattr(b, column.name), equal_nan=True)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"L{c.levels}-{c.roi}-{len(c.offsets)}")
 def test_pooled_records_equal_serial(session_dir, monkeypatch, cfg):
+    serial_frames = _frame_features(session_dir, cfg)
+    tex, hist = frame_features(load_session(session_dir).frames[0], cfg)
+    assert serial_frames[0] == (*tex, hist.mean, hist.variance, hist.entropy)
     _, serial = _table(session_dir, cfg)
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    _assert_same_frame_features(serial_frames, _frame_features(session_dir, cfg))
     session, pooled = _table(session_dir, cfg)
-    _assert_same_records(serial, pooled)
-    assert sum(r.texture is not None for r in pooled) > 100
+    _assert_same_table(serial, pooled)
+    assert np.count_nonzero(~np.isnan(pooled.asm)) > 100
     # The workers decoded the frames; the caller's session holds none of them.
     assert all(f._pixels is None for f in session.frames)
 

@@ -450,10 +450,17 @@ class TestLdlj:
 
     def test_matches_stated_formula(self):
         v = min_jerk_bell(64, 0.02)
-        dv = np.gradient(v, 0.02)
+        jerk = np.gradient(np.gradient(v, 0.02), 0.02)
         duration = 63 * 0.02
-        expected = -math.log(duration**3 / v.max() ** 2 * np.sum(dv * dv) * 0.02)
+        expected = -math.log(duration**3 / v.max() ** 2 * np.sum(jerk * jerk) * 0.02)
         assert abs(log_dimensionless_jerk(v, 0.02) - expected) <= 1e-12
+
+    def test_time_scaling_invariance(self):
+        # One minimum-jerk shape over 1, 2, 4 and 8 s at 100 Hz.  The
+        # discrete derivatives spread these by about 0.06 (-5.25 to -5.31).
+        values = [log_dimensionless_jerk(min_jerk_bell(100 * T + 1, 0.01), 0.01)
+                  for T in (1, 2, 4, 8)]
+        assert max(values) - min(values) <= 0.1
 
 
 class TestSparc:
