@@ -145,25 +145,30 @@ def entry() -> None:  # console-script entry point
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+# argparse shows an ArgumentTypeError's own message; for any other error of a
+# ``type`` function it prints only the function's name.
+
 def _parse_offsets(text: str) -> tuple[tuple[int, int], ...]:
+    error = argparse.ArgumentTypeError(f"bad offsets {text!r}; expected 'dx,dy;dx,dy;...'")
     try:
         pairs = tuple(
             tuple(int(v) for v in chunk.split(",")) for chunk in text.split(";") if chunk
         )
     except ValueError:
-        raise ValueError(f"bad offsets {text!r}; expected 'dx,dy;dx,dy;...'") from None
+        raise error from None
     if any(len(p) != 2 for p in pairs):
-        raise ValueError(f"bad offsets {text!r}; expected 'dx,dy;dx,dy;...'")
+        raise error
     return pairs
 
 
 def _parse_roi(text: str) -> tuple[int, int, int, int]:
+    error = argparse.ArgumentTypeError(f"bad roi {text!r}; expected 'x,y,w,h'")
     try:
         parts = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(f"bad roi {text!r}; expected 'x,y,w,h'") from None
+        raise error from None
     if len(parts) != 4:
-        raise ValueError(f"bad roi {text!r}; expected 'x,y,w,h'")
+        raise error
     return parts
 
 
@@ -171,7 +176,7 @@ def _parse_frame_size(text: str) -> tuple[int, int]:
     try:
         width, height = (int(v) for v in text.lower().split("x"))
     except ValueError:
-        raise ValueError(f"bad frame size {text!r}; expected WxH") from None
+        raise argparse.ArgumentTypeError(f"bad frame size {text!r}; expected WxH") from None
     return width, height
 
 
@@ -293,8 +298,10 @@ def _cmd_compare(args) -> int:
         "smoother": result.smoother,
         "quicker": result.quicker,
     }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # Two finite metrics can still differ by more than the largest float;
+    # strict JSON has no Infinity, so such a delta is an error, found before
+    # anything is printed.
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 

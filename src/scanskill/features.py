@@ -522,8 +522,8 @@ def _distinct_frame_features(
 
     Large sessions are spread over a fork process pool, one worker per CPU
     this process may run on.  The workers inherit ``frames`` and ``cfg``
-    through the fork and decode on-disk frames themselves, so the caller
-    never holds the decoded session.  A worker that dies raises
+    through the fork and decode on-disk frames, or render synthetic ones,
+    themselves, so the caller never holds the session's pixels.  A worker that dies raises
     ``concurrent.futures.BrokenExecutor`` here.
     """
     workers = _pool_workers(frames, indices)

@@ -66,8 +66,9 @@ class Frame:
     """One timestamped 8-bit grayscale ultrasound frame.
 
     ``pixels`` is a ``(height, width)`` uint8 array.  A frame referenced
-    from disk decodes its file on every access and keeps nothing, so a
-    caller visiting each frame once holds one decoded frame at a time.
+    from disk decodes its file on every access and keeps nothing, as does a
+    synthetic frame (``scanskill.synth``), which renders on every access, so
+    a caller visiting each frame once holds one frame's pixels at a time.
     """
 
     __slots__ = ("t_us", "width", "height", "_pixels", "_path")

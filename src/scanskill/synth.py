@@ -23,6 +23,7 @@ implementation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -335,6 +336,33 @@ def _base_field(width: int, height: int, seed: int) -> np.ndarray:
     return field.astype(np.float32)
 
 
+class _PhantomFrame(Frame):
+    """A phantom frame that renders its pixels on every access and keeps none.
+
+    It holds only its contrast and a reference to the session's shared base
+    field, so a session, or a process forked from it, renders each frame
+    where it is used.
+    """
+
+    __slots__ = ("_field", "_contrast")
+
+    def __init__(self, t_us: int, field: np.ndarray, contrast: float) -> None:
+        # Not Frame.__init__, which needs pixels or a file; this frame has neither.
+        self.t_us = t_us
+        self.height, self.width = field.shape
+        self._pixels = self._path = None
+        self._field = field
+        self._contrast = np.float32(contrast)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        buf = self._field * self._contrast
+        buf += np.float32(128.0)
+        np.rint(buf, out=buf)
+        np.clip(buf, 0.0, 255.0, out=buf)
+        return buf.astype(np.uint8)
+
+
 def gen_phantom_frame(
     q: np.ndarray,
     target: np.ndarray,
@@ -342,29 +370,29 @@ def gen_phantom_frame(
     seed: int,
     t_us: int = 0,
 ) -> Frame:
-    """Render one frame whose contrast tracks alignment with the target.
+    """A frame whose contrast tracks alignment with the target.
 
     pixel = 128 + round(contrast * field(x, y)) with
     contrast = 16 + 96 * exp(-(theta/0.2)^2), theta the geodesic angle
-    between ``q`` and ``target``.  Deterministic in (q, seed).
+    between ``q`` and ``target``.  Deterministic in (q, seed).  The pixels
+    are rendered on each access of ``Frame.pixels``; the frame keeps none.
     """
     width, height = geometry
     theta = q_geodesic_angle(q, target)
     align = float(np.exp(-((theta / ALIGNMENT_SIGMA_RAD) ** 2)))
     contrast = _CONTRAST_BASE + _CONTRAST_GAIN * align
-    field = _base_field(width, height, seed)
-    buf = field * np.float32(contrast)
-    buf += np.float32(128.0)
-    np.rint(buf, out=buf)
-    np.clip(buf, 0.0, 255.0, out=buf)
-    return Frame(t_us, width, height, pixels=buf.astype(np.uint8))
+    return _PhantomFrame(t_us, _base_field(width, height, seed), contrast)
 
 
 # ---------------------------------------------------------------------------
 # whole sessions
 
 def build_session(profile: ProfileConfig) -> Session:
-    """Generate a complete in-memory session for the profile."""
+    """Generate a complete in-memory session for the profile.
+
+    Its frames keep no pixels and render on access from the one base field,
+    which is computed here, so processes forked later inherit it.
+    """
     poses = gen_trajectory(profile)
     target = profile.resolved_target()
     frame_period_us = round(1e6 / profile.frame_rate_hz)
@@ -432,15 +460,13 @@ def extend_with_idle(session: Session, duration_s: float) -> Session:
         for i in range(n_poses)
     ]
     last_frame = session.frames[-1]
-    extra_frames = [
-        Frame(
-            last_frame.t_us + frame_period * (i + 1),
-            last_frame.width,
-            last_frame.height,
-            pixels=last_frame.pixels,
-        )
-        for i in range(n_frames)
-    ]
+    extra_frames = []
+    for i in range(n_frames):
+        # A shallow copy shares the last frame's pixel source, whether an
+        # array, a file or a phantom field.
+        frame = copy.copy(last_frame)
+        frame.t_us = last_frame.t_us + frame_period * (i + 1)
+        extra_frames.append(frame)
     return Session(
         meta=session.meta,
         poses=session.poses + extra_poses,

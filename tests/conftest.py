@@ -28,6 +28,31 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# Runs `python ARGS` on one CPU in a child of this small interpreter and
+# prints the child's exit code and peak RSS in KiB.  The child's ru_maxrss
+# also counts the memory of the process it was started from, which is why
+# the test process does not start it directly.
+_PEAK_RSS = """
+import os, subprocess, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(*args: str) -> int:
+    """Peak RSS in KiB of ``python *args`` run on one CPU; it must exit 0.
+
+    One CPU keeps ``scanskill`` commands on the serial feature path.  Needs
+    ``os.sched_setaffinity``.
+    """
+    proc = run_python("-c", _PEAK_RSS, *args)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return peak
+
+
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.standard_normal(4)

@@ -298,6 +298,32 @@ class TestExitCodes:
             code, err = _run([command, "--session", str(bad)])
             assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
 
+    def test_overflowing_compare_delta_is_pipeline_error(self, tmp_path, capsys):
+        paths = []
+        for name, sparc in (("a", 1.7e308), ("b", -1.7e308)):
+            doc = dict.fromkeys(METRIC_ORDER, 1.0)
+            doc.update(session_id=name, n_samples=100, config={"delta_t_us": 10_000}, sparc=sparc)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", *map(str, paths)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "--session", "s", "--offsets", "1,0;0,1,2"],
+         "argument --offsets: bad offsets '1,0;0,1,2'; expected 'dx,dy;dx,dy;...'"),
+        (["features", "--session", "s", "--roi", "1,2,x,4"],
+         "argument --roi: bad roi '1,2,x,4'; expected 'x,y,w,h'"),
+        (["synth", "--profile", "expert", "--seed", "0", "--out", "s", "--frame-size", "32by3"],
+         "argument --frame-size: bad frame size '32by3'; expected WxH"),
+    ], ids=["offsets", "roi", "frame-size"])
+    def test_bad_flag_value_shows_its_message(self, argv, message):
+        code, err = _run(argv)
+        assert code == 2
+        assert err[-1].endswith(message)
+
     @pytest.mark.parametrize("edit", [
         [1], {"n_samples": "12"}, {"config": []}, {"sparc": True}, {"ldlj": [1.0]},
         {"flags": 5}, {"session_id": None}, {"config": {"delta_t_us": None}},

@@ -17,6 +17,7 @@ from scanskill.cli import main
 from scanskill.features import GlcmConfig, compute_feature_table, frame_features
 from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import load_session
+from scanskill.synth import build_session, novice_profile
 
 from conftest import run_python
 
@@ -88,6 +89,18 @@ def test_pooled_records_equal_serial(session_dir, monkeypatch, cfg):
     _assert_same_table(serial, pooled)
     assert np.count_nonzero(~np.isnan(pooled.asm)) > 100
     # The workers decoded the frames; the caller's session holds none of them.
+    assert all(f._pixels is None for f in session.frames)
+
+
+def test_pooled_in_memory_synthetic_session_equals_serial(monkeypatch):
+    session = build_session(novice_profile(3, frame_width=48, frame_height=36,
+                                           n_samples_range=(800, 900)))
+    fused = fuse_streams(session, ResampleConfig())
+    serial = compute_feature_table(session, fused, GlcmConfig())
+    monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    assert features._pool_workers(session.frames, range(len(session.frames))) > 1
+    _assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
+    # The workers rendered the frames; the caller's session holds none of them.
     assert all(f._pixels is None for f in session.frames)
 
 

@@ -22,7 +22,7 @@ from scanskill.ingest import (
     write_session,
 )
 
-from conftest import IDENTITY, constant_frame, make_session, run_python, smooth_pose_walk
+from conftest import IDENTITY, constant_frame, make_session, peak_rss_kib, smooth_pose_walk
 
 
 class TestPoseCsv:
@@ -318,24 +318,6 @@ class TestSessionRoundTrip:
         assert np.array_equal(first, frames[1].pixels)
 
 
-# Runs `scanskill report` on one CPU, so on the serial feature path, in a
-# child of this small interpreter, and prints the child's exit code and peak
-# RSS in KiB.  The child's ru_maxrss also counts the memory of the process it
-# was started from, which is why the test does not start it directly.
-_REPORT_PEAK_RSS = """
-import os, subprocess, sys
-report = (
-    "import os, sys\\n"
-    "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\\n"
-    "from scanskill.cli import main\\n"
-    "sys.exit(main(['report', '--session', sys.argv[1], '--out', sys.argv[2]]))\\n"
-)
-proc = subprocess.Popen([sys.executable, "-c", report, *sys.argv[1:]])
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_serial_report_memory_does_not_grow_with_frames(tmp_path):
     width, height = 640, 480
@@ -352,9 +334,7 @@ def test_serial_report_memory_does_not_grow_with_frames(tmp_path):
         session.mkdir()
         write_session(session, make_session(poses, frames))
         del frames
-        proc = run_python("-c", _REPORT_PEAK_RSS, str(session), str(tmp_path / "out"))
-        code, peak_kib = map(int, proc.stdout.split())
-        assert code == 0, proc.stderr
-        peaks.append(peak_kib)
+        peaks.append(peak_rss_kib("-m", "scanskill", "report", "--session", str(session),
+                                  "--out", str(tmp_path / "out")))
     # A frame cache would hold 90 more frames (about 26 MiB) in the long run.
     assert peaks[1] - peaks[0] <= 3 * width * height // 1024

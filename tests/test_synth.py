@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from scanskill.synth import (
     novice_profile,
 )
 from scanskill.synth import _gaussian_blur
+
+from conftest import peak_rss_kib
 
 SMALL = dict(frame_width=48, frame_height=36)
 
@@ -193,5 +196,34 @@ class TestSessions:
         assert len(longer.poses) == len(session.poses) + 200
         assert len(longer.frames) == len(session.frames) + 50
         assert np.array_equal(longer.poses[-1].q, session.poses[-1].q)
-        assert longer.frames[-1].pixels is session.frames[-1].pixels
+        last = session.frames[-1].pixels
+        assert all(np.array_equal(f.pixels, last) for f in longer.frames[len(session.frames):])
         assert validate_session(longer).findings == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_write_memory_does_not_grow_with_frames(self, tmp_path):
+        width, height = 640, 480
+        synth = (
+            "import sys\n"
+            "from scanskill.synth import expert_profile, gen_session\n"
+            "n = int(sys.argv[2])\n"
+            f"gen_session(expert_profile(0, frame_width={width}, frame_height={height},"
+            " n_samples_range=(n, n)), sys.argv[1])\n"
+        )
+        peaks = []
+        # 4 poses per frame at the default rates: 101 and 191 frames.
+        for n_samples in (401, 761):
+            out = tmp_path / f"s{n_samples}"
+            peaks.append(peak_rss_kib("-c", synth, str(out), str(n_samples)))
+            assert len(list((out / "frames").glob("*.pgm"))) == (n_samples - 1) // 4 + 1
+        # A session holding its frames would need 90 more (about 26 MiB).
+        assert peaks[1] - peaks[0] <= 3 * width * height // 1024
+
+    def test_built_session_holds_no_pixels(self):
+        session = build_session(novice_profile(2, **SMALL, n_samples_range=(400, 500)))
+        assert all(f._pixels is None and f._path is None for f in session.frames)
+        # Every frame renders from the one shared base field on each access.
+        assert len({id(f._field) for f in session.frames}) == 1
+        frame = session.frames[-1]
+        assert frame.pixels is not frame.pixels
+        assert np.array_equal(frame.pixels, frame.pixels)
