@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _pipeline_errors() as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 
@@ -131,11 +131,12 @@ def _pipeline_errors() -> tuple[type[Exception], ...]:
 
     ``main`` calls this only once an exception reaches its handler, so the
     commands that never start a process pool do not import concurrent.futures.
-    ``RecursionError`` is what ``json.load`` raises on deeply nested input.
+    ``RecursionError`` is what ``json.load`` raises on deeply nested input,
+    ``MemoryError`` what numpy raises for a frame too large to allocate.
     """
     from concurrent.futures import BrokenExecutor
 
-    return (ValueError, OSError, KeyError, RecursionError, BrokenExecutor)
+    return (ValueError, OSError, KeyError, RecursionError, MemoryError, BrokenExecutor)
 
 
 def entry() -> None:  # console-script entry point

@@ -452,19 +452,23 @@ class FeatureTable:
 def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) -> FeatureTable:
     """Texture + histogram per grid instant, motion per grid step.
 
-    Frame features are computed once per distinct frame and shared by all
-    grid instants referencing it; large sessions compute them in a process
-    pool, with identical results.
+    Frame features are computed once per distinct pixel source
+    (:attr:`Frame.source`, equal only for frames that read equal pixels) and
+    shared by every grid instant whose frame reads it; large sessions compute
+    them in a process pool, with identical results.
     """
     n = len(fused)
     t_us = np.array([s.t_us for s in fused], dtype=np.int64)
     frame_idx = np.array([-1 if s.frame_idx is None else s.frame_idx for s in fused], np.int64)
     has_frame = frame_idx >= 0
     distinct, inverse = np.unique(frame_idx[has_frame], return_inverse=True)
-    rows = _distinct_frame_features(session.frames, distinct.tolist(), cfg)
-    per_frame = np.array(rows).reshape(-1, 6)
+    first: dict[tuple, int] = {}  # pixel source -> first frame index reading it
+    owner = [first.setdefault(session.frames[i].source, i) for i in distinct.tolist()]
+    sources, source_of = np.unique(np.array(owner, np.int64), return_inverse=True)
+    rows = _distinct_frame_features(session.frames, sources.tolist(), cfg)
+    per_source = np.array(rows).reshape(-1, 6)
     frame_columns = np.full((6, n), np.nan)
-    frame_columns[:, has_frame] = per_frame[inverse].T
+    frame_columns[:, has_frame] = per_source[source_of[inverse]].T
     omega, speed = np.full((n, 3), np.nan), np.full(n, np.nan)
     if n >= 2:
         motion = angular_velocity(fused, int(t_us[1] - t_us[0]))
@@ -472,11 +476,11 @@ def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) ->
     return FeatureTable(t_us, *frame_columns, omega, speed)
 
 
-# Below this many pixels across a session's distinct frames the features
-# are computed serially.  On two cores the pool breaks even at about 6 to
-# 10 Mpx (320x240 frames in memory, 640x480 frames decoded from disk); the
-# margin above that keeps short sessions, whose saving would be within
-# noise, off the pool.
+# Below this many pixels across a session's distinct pixel sources the
+# features are computed serially.  On two cores the pool breaks even at
+# about 6 to 10 Mpx (320x240 frames in memory, 640x480 frames decoded from
+# disk); the margin above that keeps short sessions, whose saving would be
+# within noise, off the pool.
 _POOL_MIN_PIXELS = 1 << 24
 # Each worker takes about this many chunks of frames, so that a slow chunk
 # near the end leaves little idle time on the other workers.

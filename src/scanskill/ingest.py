@@ -69,6 +69,9 @@ class Frame:
     from disk decodes its file on every access and keeps nothing, as does a
     synthetic frame (``scanskill.synth``), which renders on every access, so
     a caller visiting each frame once holds one frame's pixels at a time.
+
+    ``source`` is equal for two frames only when they are sure to read the
+    same pixels: one file, one held array, or one synthetic field and contrast.
     """
 
     __slots__ = ("t_us", "width", "height", "_pixels", "_path")
@@ -84,7 +87,12 @@ class Frame:
         if pixels is None and path is None:
             raise ValueError("frame needs pixel data or a backing file")
         if pixels is not None:
-            pixels = np.asarray(pixels, dtype=np.uint8)
+            pixels = np.asarray(pixels)
+            # A plain cast would wrap 300 to 44 and truncate floats silently.
+            if pixels.dtype != np.uint8:
+                if pixels.dtype.kind not in "iu" or np.any((pixels < 0) | (pixels > 255)):
+                    raise ValueError("pixels must be uint8 or integers in [0, 255]")
+                pixels = pixels.astype(np.uint8)
             if pixels.shape != (height, width):
                 raise ValueError("pixel buffer does not match frame geometry")
         self.t_us = t_us
@@ -101,6 +109,11 @@ class Frame:
         if (w, h) != (self.width, self.height):
             raise ValueError(f"frame geometry changed: {self._path}")
         return data
+
+    @property
+    def source(self) -> tuple:
+        """The held array (alive while the frame is, so its id is unique), else the file."""
+        return ("path", self._path) if self._pixels is None else ("array", id(self._pixels))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame(t_us={self.t_us}, {self.width}x{self.height})"

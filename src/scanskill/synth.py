@@ -362,6 +362,10 @@ class _PhantomFrame(Frame):
         np.clip(buf, 0.0, 255.0, out=buf)
         return buf.astype(np.uint8)
 
+    @property
+    def source(self) -> tuple:
+        return ("phantom", id(self._field), float(self._contrast))
+
 
 def gen_phantom_frame(
     q: np.ndarray,

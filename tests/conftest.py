@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import scanskill
 
 from scanskill.core import SessionMeta
 from scanskill.fusion import hemisphere_align
-from scanskill.ingest import Frame, PoseSample, Session
+from scanskill.ingest import Frame, PoseSample, Session, load_session
+from scanskill.synth import build_session, expert_profile, extend_with_idle, gen_session
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -109,6 +111,44 @@ def random_stream_times(
     """Strictly increasing jittered timestamps."""
     gaps = rng.integers(mean_period_us // 2, mean_period_us * 3 // 2 + 1, size=n - 1)
     return [int(t) for t in np.concatenate([[start_us], start_us + np.cumsum(gaps)])]
+
+
+SHARED_SOURCE_SESSIONS = ("idle-tail", "equal-contrast", "repeated-pgm")
+
+
+def shared_source_session(kind: str, tmp_path: Path) -> Session:
+    """A small synthetic session in which several frames read one pixel source.
+
+    ``idle-tail``: an ``extend_with_idle`` tail repeats the last frame;
+    ``equal-contrast``: phantom frames far off target share one contrast;
+    ``repeated-pgm``: on disk, every odd row of ``frames/index.csv`` names
+    the PGM of the row before it.
+    """
+    profile = expert_profile(6, frame_width=48, frame_height=36, n_samples_range=(400, 500))
+    if kind == "idle-tail":
+        return extend_with_idle(build_session(profile), 2.0)
+    if kind == "equal-contrast":
+        return build_session(profile)
+    gen_session(profile, tmp_path / "s")
+    index = tmp_path / "s" / "frames" / "index.csv"
+    header, *rows = index.read_text().splitlines()
+    files = [row.split(",")[1] for row in rows]
+    rows = [f"{row.split(',')[0]},{files[k - k % 2]}" for k, row in enumerate(rows)]
+    index.write_text("\n".join([header, *rows]) + "\n")
+    return load_session(tmp_path / "s")
+
+
+def assert_same_table(a, b) -> None:
+    """Every column of two feature tables is bitwise equal, NaN where NaN."""
+    assert len(a) == len(b)
+    for column in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, column.name), getattr(b, column.name), equal_nan=True)
+
+
+def private_copies(session: Session) -> Session:
+    """``session`` with every frame holding a private copy of its pixels."""
+    frames = [Frame(f.t_us, f.width, f.height, pixels=f.pixels.copy()) for f in session.frames]
+    return Session(session.meta, session.poses, frames, session.synthetic_profile)
 
 
 def random_session(rng: np.random.Generator, n_poses: int = 60, n_frames: int = 20) -> Session:

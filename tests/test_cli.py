@@ -311,6 +311,19 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 74.5 GiB", "error: Unable to allocate 74.5 GiB"),
+        ("", "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_pipeline_error(self, tmp_path, monkeypatch, message, line):
+        def fail(profile, out_dir):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("scanskill.synth.gen_session", fail)
+        code, err = _run(["synth", "--profile", "expert", "--seed", "0",
+                          "--out", str(tmp_path / "s"), "--frame-size", "100000x100000"])
+        assert code == 3 and err == [line]
+
     @pytest.mark.parametrize("argv, message", [
         (["report", "--session", "s", "--offsets", "1,0;0,1,2"],
          "argument --offsets: bad offsets '1,0;0,1,2'; expected 'dx,dy;dx,dy;...'"),

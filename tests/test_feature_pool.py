@@ -1,10 +1,10 @@
 """Per-frame features computed in the fork process pool match the serial path.
 
-The pool engages only above ``features._POOL_MIN_PIXELS``; these tests lower
-that constant so small sessions take the pooled path.
+The pool engages only above ``features._POOL_MIN_PIXELS`` pixels of distinct
+pixel sources; most of these tests lower that constant so small sessions
+take the pooled path.
 """
 
-import dataclasses
 import multiprocessing
 import os
 import shutil
@@ -16,10 +16,17 @@ from scanskill import features
 from scanskill.cli import main
 from scanskill.features import GlcmConfig, compute_feature_table, frame_features
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import load_session
+from scanskill.ingest import Frame, PoseSample, load_session
 from scanskill.synth import build_session, novice_profile
 
-from conftest import run_python
+from conftest import (
+    IDENTITY,
+    SHARED_SOURCE_SESSIONS,
+    assert_same_table,
+    make_session,
+    run_python,
+    shared_source_session,
+)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods()
@@ -71,12 +78,6 @@ def _assert_same_frame_features(a, b):
         assert len(row_a) == 6 and row_a == row_b
 
 
-def _assert_same_table(a, b):
-    assert len(a) == len(b)
-    for column in dataclasses.fields(a):
-        assert np.array_equal(getattr(a, column.name), getattr(b, column.name), equal_nan=True)
-
-
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"L{c.levels}-{c.roi}-{len(c.offsets)}")
 def test_pooled_records_equal_serial(session_dir, monkeypatch, cfg):
     serial_frames = _frame_features(session_dir, cfg)
@@ -86,7 +87,7 @@ def test_pooled_records_equal_serial(session_dir, monkeypatch, cfg):
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
     _assert_same_frame_features(serial_frames, _frame_features(session_dir, cfg))
     session, pooled = _table(session_dir, cfg)
-    _assert_same_table(serial, pooled)
+    assert_same_table(serial, pooled)
     assert np.count_nonzero(~np.isnan(pooled.asm)) > 100
     # The workers decoded the frames; the caller's session holds none of them.
     assert all(f._pixels is None for f in session.frames)
@@ -99,9 +100,43 @@ def test_pooled_in_memory_synthetic_session_equals_serial(monkeypatch):
     serial = compute_feature_table(session, fused, GlcmConfig())
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
     assert features._pool_workers(session.frames, range(len(session.frames))) > 1
-    _assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
+    assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
     # The workers rendered the frames; the caller's session holds none of them.
     assert all(f._pixels is None for f in session.frames)
+
+
+@pytest.mark.parametrize("kind", SHARED_SOURCE_SESSIONS)
+def test_pooled_shared_source_session_equals_serial(kind, tmp_path, monkeypatch):
+    session = shared_source_session(kind, tmp_path)
+    fused = fuse_streams(session, ResampleConfig())
+    serial = compute_feature_table(session, fused, GlcmConfig())
+    monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
+
+
+def test_shared_array_session_stays_serial(monkeypatch):
+    width, height, n_frames = 320, 240, 2000
+    pixels = np.random.default_rng(0).integers(0, 256, (height, width), dtype=np.uint8)
+    frames = [Frame(k * 40_000, width, height, pixels=pixels) for k in range(n_frames)]
+    poses = [PoseSample(k * 10_000, IDENTITY) for k in range(4 * n_frames - 3)]
+    session = make_session(poses, frames)
+    # Counted per frame index, the session would go to the pool.
+    assert features._pool_workers(frames, range(n_frames)) > 1
+    seen = []
+    real = features._pool_workers
+
+    def pool_workers(frames, indices):
+        seen.append(sum(frames[i].width * frames[i].height for i in indices))
+        return real(frames, indices)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(features, "_pool_workers", pool_workers)
+    monkeypatch.setattr(features, "ProcessPoolExecutor", no_pool)
+    table = compute_feature_table(session, fuse_streams(session, ResampleConfig()), GlcmConfig())
+    assert seen == [width * height]
+    assert np.count_nonzero(table.asm == table.asm[0]) == len(table)
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=lambda f: "-".join(f) or "default")
@@ -136,7 +171,7 @@ from concurrent.futures import BrokenExecutor
 from scanskill import features
 from scanskill.cli import main
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import load_session
+from scanskill.ingest import Frame, PoseSample, load_session
 
 features._POOL_MIN_PIXELS = 0
 features.frame_features = lambda frame, cfg: os._exit(7)

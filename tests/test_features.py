@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
+from scanskill import features
 from scanskill.core import q_from_axis_angle, q_multiply, q_normalize
 from scanskill.features import (
     GlcmConfig,
     SmoothnessConfig,
     TextureFeatures,
     angular_velocity,
+    compute_feature_table,
     frame_features,
     glcm,
     glcm_counts,
@@ -21,9 +23,18 @@ from scanskill.features import (
     sparc,
     texture_features,
 )
+from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import PoseSample
 
-from conftest import IDENTITY, random_unit_quat, smooth_pose_walk
+from conftest import (
+    IDENTITY,
+    SHARED_SOURCE_SESSIONS,
+    assert_same_table,
+    private_copies,
+    random_unit_quat,
+    shared_source_session,
+    smooth_pose_walk,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -565,3 +576,34 @@ class TestGlcmConfig:
         cfg = GlcmConfig(offsets=[[1, 0], [0, 1]], roi=[0, 0, 4, 4])
         assert cfg == GlcmConfig(offsets=((1, 0), (0, 1)), roi=(0, 0, 4, 4))
         assert hash(cfg) == hash(GlcmConfig(offsets=((1, 0), (0, 1)), roi=(0, 0, 4, 4)))
+
+
+# --- per-session feature table -----------------------------------------------
+
+class TestFeatureTable:
+    @pytest.mark.parametrize("kind", SHARED_SOURCE_SESSIONS)
+    def test_frame_features_once_per_pixel_source(self, kind, tmp_path, monkeypatch):
+        session = shared_source_session(kind, tmp_path)
+        fused = fuse_streams(session, ResampleConfig())
+        used = {s.frame_idx for s in fused if s.frame_idx is not None}
+        sources = {session.frames[i].source for i in used}
+        assert len(sources) < len(used)
+        seen = []
+        real = features.frame_features
+
+        def counted(frame, cfg):
+            seen.append(frame.source)
+            return real(frame, cfg)
+
+        monkeypatch.setattr(features, "frame_features", counted)
+        compute_feature_table(session, fused, GlcmConfig())
+        assert sorted(seen) == sorted(sources)
+
+    @pytest.mark.parametrize("kind", SHARED_SOURCE_SESSIONS)
+    def test_shared_sources_equal_private_copies(self, kind, tmp_path):
+        session = shared_source_session(kind, tmp_path)
+        fused = fuse_streams(session, ResampleConfig())
+        shared = compute_feature_table(session, fused, GlcmConfig())
+        private = compute_feature_table(private_copies(session), fused, GlcmConfig())
+        assert_same_table(shared, private)
+        assert np.count_nonzero(~np.isnan(shared.asm)) > 300

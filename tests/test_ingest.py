@@ -190,6 +190,34 @@ class TestFrameIndex:
             read_frame_index(tmp_path / "s")
 
 
+class TestFrame:
+    @pytest.mark.parametrize("pixels", [
+        [[300, -1]], [[12.7, float("nan")]], [[12.0, 3.0]], [[True, False]], [["1", "2"]],
+    ], ids=["out-of-range", "float-nan", "float", "bool", "str"])
+    def test_lossy_pixels_rejected(self, pixels):
+        with pytest.raises(ValueError, match="pixels must be uint8"):
+            Frame(0, 2, 1, pixels=pixels)
+
+    def test_integer_pixels_in_range_accepted(self):
+        for pixels in ([[0, 255]], np.array([[0, 255]], dtype=np.int16)):
+            frame = Frame(0, 2, 1, pixels=pixels)
+            assert frame.pixels.dtype == np.uint8 and frame.pixels.tolist() == [[0, 255]]
+
+    def test_uint8_pixels_held_as_given(self):
+        pixels = np.zeros((1, 2), dtype=np.uint8)
+        assert Frame(0, 2, 1, pixels=pixels).pixels is pixels
+
+    def test_source_equal_only_for_one_held_array_or_file(self, tmp_path):
+        pixels = np.zeros((1, 2), dtype=np.uint8)
+        a, b, c = (Frame(0, 2, 1, pixels=p) for p in (pixels, pixels, pixels.copy()))
+        assert a.source == b.source != c.source
+        path = tmp_path / "a.pgm"
+        on_disk = [Frame(0, 2, 1, path=p) for p in (path, tmp_path / "." / "a.pgm",
+                                                    tmp_path / "b.pgm")]
+        assert on_disk[0].source == on_disk[1].source != on_disk[2].source
+        assert len({a.source, c.source, on_disk[0].source, on_disk[2].source}) == 4
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         meta = SessionMeta("s1", "expert", 1, 100.0, 25.0)
