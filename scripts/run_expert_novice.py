@@ -15,26 +15,27 @@ import json
 import sys
 from pathlib import Path
 
-from scanskill.cli import main as cli_main
+from scanskill.cli import _parse_frame_size, main as cli_main
 from scanskill.features import GlcmConfig, SmoothnessConfig
 from scanskill.fusion import ResampleConfig
 from scanskill.skill import build_report, calibrate_thresholds, classify, compare, report_document
 from scanskill.synth import build_session, expert_profile, gen_session, novice_profile
 
 
-def parse_args():
+def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(5)))
-    p.add_argument("--frame-size", default="320x240", help="frame geometry WxH")
+    p.add_argument("--frame-size", type=_parse_frame_size, default="320x240",
+                   help="frame geometry WxH")
     p.add_argument("--outdir", help="write sessions, reports, and plot CSVs here")
     p.add_argument("--calibration-seeds", type=int, nargs=2, default=(100, 110),
                    metavar=("LO", "HI"), help="seed range for threshold calibration")
-    return p.parse_args()
+    return p.parse_args(argv)
 
 
 def main() -> int:
     args = parse_args()
-    width, height = (int(v) for v in args.frame_size.lower().split("x"))
+    width, height = args.frame_size
     geometry = dict(frame_width=width, frame_height=height)
     outdir = Path(args.outdir) if args.outdir else None
 

@@ -21,7 +21,7 @@ _SUBMODULE_EXPORTS = {
     ),
     "fusion": (
         "FusedSample", "ResampleConfig", "StreamingFuser", "fuse_streams", "hemisphere_align",
-        "resample_poses", "slerp",
+        "slerp",
     ),
     "ingest": (
         "Frame", "PoseSample", "Session", "load_session", "read_pose_csv", "validate_session",

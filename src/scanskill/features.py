@@ -306,12 +306,6 @@ def frame_features(
 # ---------------------------------------------------------------------------
 # motion
 
-def _quat_matrix(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples
-    return np.stack([s.q for s in samples])
-
-
 def angular_velocity(fused: Sequence, delta_t_us: int) -> MotionSeries:
     """Body-frame angular velocity between consecutive fused grid poses.
 
@@ -324,7 +318,7 @@ def angular_velocity(fused: Sequence, delta_t_us: int) -> MotionSeries:
     t = np.array([s.t_us for s in fused], dtype=np.int64)
     if np.any(np.diff(t) != delta_t_us):
         raise ValueError("non-uniform grid")
-    q = _quat_matrix(fused)
+    q = np.stack([s.q for s in fused])
     rel = q_multiply(q_inverse(q[:-1]), q[1:])
     w = rel[:, 0]
     vec = rel[:, 1:]
@@ -340,9 +334,9 @@ def angular_velocity(fused: Sequence, delta_t_us: int) -> MotionSeries:
 
 def path_length(fused: Sequence) -> float:
     """Total geodesic angle swept along the sequence, in radians."""
-    q = _quat_matrix(fused)
-    if len(q) < 2:
+    if len(fused) < 2:
         raise ValueError("need at least 2 samples")
+    q = np.stack([s.q for s in fused])
     return float(np.sum(q_geodesic_angle(q[:-1], q[1:])))
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "StreamingFuser",
     "fuse_streams",
     "hemisphere_align",
-    "resample_poses",
     "slerp",
     "write_fused_csv",
 ]
@@ -74,24 +73,26 @@ class FusedSample(NamedTuple):
     frame_staleness_us: int | None
 
 
-def hemisphere_align(poses: list[PoseSample]) -> list[PoseSample]:
-    """Flip quaternion signs so consecutive dot products are >= 0.
+def hemisphere_align(q: np.ndarray) -> np.ndarray:
+    """Flip signs in an ``(n, 4)`` quaternion series so consecutive dots are >= 0.
 
     ``q`` and ``-q`` encode the same rotation, so the represented motion is
-    unchanged; the output is safe to interpolate continuously.  Idempotent.
+    unchanged; the output is safe to interpolate continuously.  Row ``k`` is
+    negated when an odd number of the step dot products since the last zero
+    one are negative: a step whose dot product is 0 keeps its row as it is.
+    Idempotent; returns a new array.
     """
-    if not poses:
-        return []
-    out = [poses[0]]
-    prev = poses[0].q
-    for p in poses[1:]:
-        q = p.q
-        if float(np.dot(prev, q)) < 0.0:
-            q = -q
-            p = PoseSample(p.t_us, q)
-        out.append(p)
-        prev = q
-    return out
+    q = np.asarray(q, dtype=np.float64)
+    if len(q) < 2:
+        return q.copy()
+    # Stacked 1x4 @ 4x1 products compute each step as np.dot does, so these
+    # signs agree with the one-row rule in StreamingFuser.push_pose.
+    dots = (q[:-1, None, :] @ q[1:, :, None])[:, 0, 0]
+    signs = np.cumprod(np.concatenate([[1.0], np.where(dots < 0.0, -1.0, 1.0)]))
+    # Restart the product at +1 on every step that is neither < 0 nor > 0.
+    restart = np.concatenate([[True], ~(np.abs(dots) > 0.0)])
+    signs *= signs[np.maximum.accumulate(np.where(restart, np.arange(len(q)), 0))]
+    return np.where(signs[:, None] < 0.0, -q, q)
 
 
 def slerp(a: np.ndarray, b: np.ndarray, u: float) -> np.ndarray:
@@ -145,24 +146,6 @@ def _interpolate_on_grid(
     return _slerp_pairs(quats[idx], quats[idx + 1], u.astype(np.float64))
 
 
-def resample_poses(poses: list[PoseSample], cfg: ResampleConfig) -> list[PoseSample]:
-    """Resample a pose stream onto the uniform grid anchored at its first sample.
-
-    The grid covers ``t0, t0+dt, ...`` up to the last input timestamp; no
-    extrapolation happens beyond the input span.  Inputs must be
-    hemisphere-aligned and strictly increasing in time.
-    """
-    if len(poses) < 2:
-        raise ValueError("cannot interpolate")
-    t_us = np.array([p.t_us for p in poses], dtype=np.int64)
-    quats = np.stack([p.q for p in poses])
-    dt = cfg.delta_t_us
-    n = int((t_us[-1] - t_us[0]) // dt) + 1
-    grid = t_us[0] + dt * np.arange(n, dtype=np.int64)
-    out_q = _interpolate_on_grid(t_us, quats, grid, cfg.pose_policy)
-    return [PoseSample(int(t), q) for t, q in zip(grid, out_q)]
-
-
 def _associate_frames(
     frame_t: np.ndarray, grid: np.ndarray, cfg: ResampleConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +175,8 @@ def fuse_streams(session: Session, cfg: ResampleConfig) -> list[FusedSample]:
         raise ValueError("cannot interpolate")
     if not session.frames:
         raise ValueError("streams do not overlap in time")
-    aligned = hemisphere_align(session.poses)
-    pose_t = np.array([p.t_us for p in aligned], dtype=np.int64)
-    quats = np.stack([p.q for p in aligned])
+    pose_t = np.array([p.t_us for p in session.poses], dtype=np.int64)
+    quats = hemisphere_align(np.stack([p.q for p in session.poses]))
     frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
 
     if frame_t[0] > pose_t[-1] or pose_t[0] > frame_t[-1]:

@@ -24,6 +24,7 @@ implementation.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -104,6 +105,12 @@ class ProfileConfig:
             raise ValueError("seed must be non-negative")
         if not (self.pose_rate_hz > 0 and self.frame_rate_hz > 0):
             raise ValueError("rates must be positive")
+        for name in ("pose_rate_hz", "frame_rate_hz"):
+            # Timestamps are whole microseconds: the period must round to >= 1.
+            rate = getattr(self, name)
+            if not 0.5 < 1e6 / rate < math.inf:
+                raise ValueError(f"{name} {rate!r} has no whole-microsecond period; "
+                                 "expected a finite rate below 2 MHz")
         if self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("frame geometry must be positive")
         lo, hi = self.resolved_samples_range()
@@ -195,8 +202,7 @@ def gen_trajectory(profile: ProfileConfig) -> list[PoseSample]:
         quats[active] = q_normalize(q_multiply(quats[active], tremor[active]))
 
     t_us = period_us * np.arange(n_total, dtype=np.int64)
-    poses = [PoseSample(int(t), q) for t, q in zip(t_us, quats)]
-    return hemisphere_align(poses)
+    return [PoseSample(int(t), q) for t, q in zip(t_us, hemisphere_align(quats))]
 
 
 def _snap_to_frame_grid(n: int, lo: int, profile: ProfileConfig) -> int:

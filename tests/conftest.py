@@ -96,13 +96,25 @@ def smooth_pose_walk(rng: np.random.Generator, times_us: list[int]) -> list[Pose
     from scanskill.core import q_from_axis_angle, q_multiply, q_normalize
 
     q = random_unit_quat(rng)
-    poses = []
-    for t in times_us:
-        poses.append(PoseSample(int(t), q))
+    quats = []
+    for _ in times_us:
+        quats.append(q)
         axis = rng.standard_normal(3)
         step = q_from_axis_angle(axis, rng.uniform(0.0, 0.15))
         q = q_normalize(q_multiply(q, step))
-    return hemisphere_align(poses)
+    return [PoseSample(int(t), q) for t, q in zip(times_us, hemisphere_align(np.array(quats)))]
+
+
+def fuse_poses(poses: list[PoseSample], cfg):
+    """``fuse_streams`` over frames that span ``poses``.
+
+    The grid is then the pose grid anchored at the first pose and running to
+    the last, with no extrapolation.
+    """
+    from scanskill.fusion import fuse_streams
+
+    frames = [constant_frame(poses[0].t_us), constant_frame(poses[-1].t_us)]
+    return fuse_streams(make_session(poses, frames), cfg)
 
 
 def random_stream_times(

@@ -27,7 +27,7 @@ from scanskill.features import (
     sparc,
     texture_features,
 )
-from scanskill.fusion import ResampleConfig, fuse_streams, resample_poses, slerp
+from scanskill.fusion import ResampleConfig, fuse_streams, slerp
 from scanskill.ingest import PoseSample, load_session, validate_session, write_session
 from scanskill.skill import build_report, calibrate_thresholds, classify
 from scanskill.synth import (
@@ -38,7 +38,14 @@ from scanskill.synth import (
     novice_profile,
 )
 
-from conftest import constant_frame, make_session, random_session, random_unit_quat, smooth_pose_walk
+from conftest import (
+    constant_frame,
+    fuse_poses,
+    make_session,
+    random_session,
+    random_unit_quat,
+    smooth_pose_walk,
+)
 from test_features import naive_glcm_counts
 
 ACCEPT_GEOMETRY = dict(frame_width=320, frame_height=240)
@@ -185,8 +192,8 @@ def test_acceptance_5_resampler_grid_properties():
             else:
                 assert s.frame_idx == best and s.frame_staleness_us == dist[best]
 
-        fine = resample_poses(session.poses, ResampleConfig(delta_t_us=8_000))
-        coarse = resample_poses(session.poses, ResampleConfig(delta_t_us=16_000))
+        fine = fuse_poses(session.poses, ResampleConfig(delta_t_us=8_000))
+        coarse = fuse_poses(session.poses, ResampleConfig(delta_t_us=16_000))
         assert len(fine[::2]) == len(coarse)
         for a, b in zip(fine[::2], coarse):
             assert a.t_us == b.t_us

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import importlib
+import importlib.util
 import io
 import json
 import re
@@ -40,7 +41,7 @@ PACKAGE_EXPORTS = {
     ),
     **dict.fromkeys(
         ["FusedSample", "ResampleConfig", "StreamingFuser", "fuse_streams", "hemisphere_align",
-         "resample_poses", "slerp"],
+         "slerp"],
         "scanskill.fusion",
     ),
     **dict.fromkeys(
@@ -241,6 +242,21 @@ class TestExitCodes:
     def test_no_command_usage_error(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--pose-rate", "inf", "pose_rate_hz"),
+        ("--pose-rate", "3e6", "pose_rate_hz"),
+        ("--frame-rate", "inf", "frame_rate_hz"),
+    ])
+    def test_synth_rate_without_microsecond_period_is_pipeline_error(
+        self, tmp_path, flag, value, field
+    ):
+        out = tmp_path / "s"
+        code, err = _run(["synth", "--profile", "expert", "--seed", "0", "--out", str(out),
+                          *SYNTH_ARGS, flag, value])
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+        assert not out.exists()
+
     def test_non_finite_pose_is_pipeline_error(self, session_dir, tmp_path, capsys):
         bad = tmp_path / "nan"
         shutil.copytree(session_dir, bad)
@@ -391,6 +407,19 @@ class TestEntryPoints:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_experiment_script_parses_frame_size_like_the_cli(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_expert_novice.py"
+        proc = run_python(str(script), "--frame-size", "abc")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].endswith(
+            "argument --frame-size: bad frame size 'abc'; expected WxH"
+        )
+        spec = importlib.util.spec_from_file_location("run_expert_novice", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.parse_args(["--frame-size", "320x240"]).frame_size == (320, 240)
+        assert module.parse_args([]).frame_size == (320, 240)
 
     def test_package_names_resolve(self):
         for name, module in PACKAGE_EXPORTS.items():

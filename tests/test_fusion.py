@@ -12,7 +12,6 @@ from scanskill.fusion import (
     StreamingFuser,
     fuse_streams,
     hemisphere_align,
-    resample_poses,
     slerp,
     write_fused_csv,
 )
@@ -21,6 +20,7 @@ from scanskill.ingest import PoseSample
 from conftest import (
     IDENTITY,
     constant_frame,
+    fuse_poses,
     make_session,
     random_session,
     random_unit_quat,
@@ -31,36 +31,97 @@ from conftest import (
 Q90Z = q_from_axis_angle([0, 0, 1], math.pi / 2)
 
 
+def loop_hemisphere_align(q: np.ndarray) -> np.ndarray:
+    """The per-row rule that ``hemisphere_align`` vectorises, kept as its reference."""
+    out = list(q[:1])
+    for row in q[1:]:
+        if float(np.dot(out[-1], row)) < 0.0:
+            row = -row
+        out.append(row)
+    return np.array(out).reshape(-1, 4)
+
+
+def _walk_quats(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.array([p.q for p in smooth_pose_walk(rng, list(range(n)))]).reshape(n, 4)
+
+
+def _axis_quats(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Unit quaternions along random axes with random signs.
+
+    The step dot product between two different axes is exactly 0.
+    """
+    return np.eye(4)[rng.integers(0, 4, n)] * rng.choice([-1.0, 1.0], (n, 1))
+
+
+def _negate_runs(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:
+    negated = np.cumsum(rng.random(len(q)) < 0.2) % 2 == 1
+    return np.where(negated[:, None], -q, q)
+
+
+@st.composite
+def quaternion_series(draw):
+    kind = draw(st.sampled_from(["random", "axis-aligned", "negated-walk"]))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return np.array([random_unit_quat(rng) for _ in range(n)]).reshape(n, 4)
+    if kind == "axis-aligned":
+        return _axis_quats(rng, n)
+    return _negate_runs(rng, _walk_quats(rng, n))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and bytes: -0.0 differs from 0.0, as a sign bit."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestHemisphereAlign:
     def test_sign_flips_only(self):
         q = random_unit_quat(np.random.default_rng(3))
-        poses = [PoseSample(t, s * q) for t, s in ((0, 1.0), (1, -1.0), (2, 1.0))]
-        aligned = hemisphere_align(poses)
-        for p in aligned:
-            np.testing.assert_allclose(p.q, q)
+        aligned = hemisphere_align(np.stack([q, -q, q]))
+        for row in aligned:
+            np.testing.assert_allclose(row, q)
 
     def test_idempotent_on_continuous(self):
         rng = np.random.default_rng(4)
-        poses = smooth_pose_walk(rng, list(range(0, 100_000, 10_000)))
-        again = hemisphere_align(poses)
-        for a, b in zip(poses, again):
-            assert np.array_equal(a.q, b.q)
+        quats = np.stack([p.q for p in smooth_pose_walk(rng, list(range(0, 100_000, 10_000)))])
+        assert np.array_equal(hemisphere_align(quats), quats)
 
     def test_small_angle_flip(self):
         one_deg = math.radians(1.0)
         negated = -q_from_axis_angle([0, 0, 1], one_deg)
-        aligned = hemisphere_align(
-            [PoseSample(0, IDENTITY.copy()), PoseSample(1, negated)]
-        )
+        aligned = hemisphere_align(np.stack([IDENTITY, negated]))
         expected = np.array([math.cos(one_deg / 2), 0, 0, math.sin(one_deg / 2)])
-        np.testing.assert_allclose(aligned[1].q, expected, atol=1e-15)
+        np.testing.assert_allclose(aligned[1], expected, atol=1e-15)
 
     def test_consecutive_dots_nonnegative(self):
         rng = np.random.default_rng(5)
-        poses = [PoseSample(t, random_unit_quat(rng)) for t in range(30)]
-        aligned = hemisphere_align(poses)
+        aligned = hemisphere_align(np.stack([random_unit_quat(rng) for _ in range(30)]))
         for a, b in zip(aligned, aligned[1:]):
-            assert float(np.dot(a.q, b.q)) >= 0.0
+            assert float(np.dot(a, b)) >= 0.0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_rows(self, n):
+        q = -np.eye(4)[:n]
+        aligned = hemisphere_align(q)
+        assert _same_bits(aligned, q) and aligned is not q
+
+    def test_zero_dot_restarts_at_plus_one(self):
+        # Step dots -1, exactly 0, -1: row 1 flips, the zero step leaves row 2
+        # as it is, and row 3 flips to match row 2.
+        q = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, -1.0, 0, 0]])
+        expected = np.array([[1.0, 0, 0, 0], [1.0, -0.0, -0.0, -0.0],
+                             [0, 1.0, 0, 0], [-0.0, 1.0, -0.0, -0.0]])
+        assert _same_bits(hemisphere_align(q), expected)
+
+    @given(quaternion_series())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_row_loop_bit_for_bit(self, q):
+        before = q.copy()
+        aligned = hemisphere_align(q)
+        assert _same_bits(aligned, loop_hemisphere_align(q))
+        assert _same_bits(hemisphere_align(aligned), aligned)  # idempotent
+        assert _same_bits(q, before)  # input untouched
 
 
 class TestSlerp:
@@ -114,30 +175,32 @@ class TestSlerp:
 
 
 class TestResample:
+    """The pose grid of ``fuse_streams`` when the frames span the poses."""
+
     def test_two_pose_slew(self):
         poses = [PoseSample(0, IDENTITY.copy()), PoseSample(10_000, Q90Z)]
-        out = resample_poses(poses, ResampleConfig(delta_t_us=5_000))
-        assert [p.t_us for p in out] == [0, 5_000, 10_000]
-        for p, angle in zip(out, (0.0, math.pi / 4, math.pi / 2)):
+        out = fuse_poses(poses, ResampleConfig(delta_t_us=5_000))
+        assert [s.t_us for s in out] == [0, 5_000, 10_000]
+        for s, angle in zip(out, (0.0, math.pi / 4, math.pi / 2)):
             np.testing.assert_allclose(
-                p.q, q_from_axis_angle([0, 0, 1], angle), atol=1e-12
+                s.q, q_from_axis_angle([0, 0, 1], angle), atol=1e-12
             )
 
     def test_grid_coincides_with_input(self):
         rng = np.random.default_rng(7)
         poses = smooth_pose_walk(rng, list(range(0, 500_000, 10_000)))
-        out = resample_poses(poses, ResampleConfig(delta_t_us=10_000))
-        assert [p.t_us for p in out] == [p.t_us for p in poses]
+        out = fuse_poses(poses, ResampleConfig(delta_t_us=10_000))
+        assert [s.t_us for s in out] == [p.t_us for p in poses]
         for a, b in zip(out, poses):
             assert np.max(np.abs(a.q - b.q)) <= 1e-9
 
     def test_single_pose_rejected(self):
         with pytest.raises(ValueError, match="cannot interpolate"):
-            resample_poses([PoseSample(0, IDENTITY.copy())], ResampleConfig())
+            fuse_poses([PoseSample(0, IDENTITY.copy())], ResampleConfig())
 
     def test_nearest_policy_picks_closer(self):
         poses = [PoseSample(0, IDENTITY.copy()), PoseSample(10_000, Q90Z)]
-        out = resample_poses(
+        out = fuse_poses(
             poses, ResampleConfig(delta_t_us=4_000, pose_policy="nearest")
         )
         np.testing.assert_allclose(out[1].q, IDENTITY)  # t=4000 closer to 0
@@ -225,8 +288,8 @@ class TestFuseStreams:
             rng = np.random.default_rng(seed)
             times = [int(t) for t in np.cumsum(rng.integers(15_000, 30_000, size=40))]
             poses = smooth_pose_walk(rng, times)
-            fine = resample_poses(poses, ResampleConfig(delta_t_us=5_000))
-            coarse = resample_poses(poses, ResampleConfig(delta_t_us=10_000))
+            fine = fuse_poses(poses, ResampleConfig(delta_t_us=5_000))
+            coarse = fuse_poses(poses, ResampleConfig(delta_t_us=10_000))
             assert len(fine[::2]) == len(coarse)
             for a, b in zip(fine[::2], coarse):
                 assert a.t_us == b.t_us
@@ -325,6 +388,26 @@ class TestStreamingFuser:
             )
             streamed += fuser.finish()
             _assert_same_fused(streamed, fuse_streams(session, cfg))
+
+    @pytest.mark.parametrize("pose_policy", ["slerp", "nearest"])
+    def test_equals_batch_across_half_turns_and_negated_runs(self, pose_policy):
+        # Axis-aligned stretches make 180° steps, whose dot product is
+        # exactly 0; negated runs make steps whose dot product is negative.
+        rng = np.random.default_rng(11)
+        quats = _walk_quats(rng, 150)
+        quats[30:50] = _axis_quats(rng, 20)
+        quats[90:100] = _axis_quats(rng, 10)
+        quats = _negate_runs(rng, quats)
+        dots = np.sum(quats[:-1] * quats[1:], axis=1)
+        assert np.any(dots == 0.0) and np.any(dots < 0.0)
+        poses = [PoseSample(k * 10_000, q) for k, q in enumerate(quats)]
+        frame_times = list(range(0, 1_500_001, 40_000))
+        cfg = ResampleConfig(delta_t_us=7_000, pose_policy=pose_policy)
+        fuser = StreamingFuser(cfg)
+        streamed = _push_in_time_order(fuser, poses, frame_times) + fuser.finish()
+        batch = fuse_streams(make_session(poses, [constant_frame(t) for t in frame_times]), cfg)
+        _assert_same_fused(streamed, batch)
+        assert all(_same_bits(a.q, b.q) for a, b in zip(streamed, batch))
 
     def test_frame_stall_holds_then_releases_backlog(self):
         cfg = ResampleConfig()  # 10 ms grid, 100 ms staleness window
