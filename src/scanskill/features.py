@@ -340,7 +340,9 @@ def path_length(fused: Sequence) -> float:
     return float(np.sum(q_geodesic_angle(q[:-1], q[1:])))
 
 
-def smooth_speed(speed: np.ndarray, window: int = 5) -> np.ndarray:
+def smooth_speed(
+    speed: np.ndarray, window: int = SmoothnessConfig.speed_smoothing_window
+) -> np.ndarray:
     """Centered moving average; the window shrinks at the series edges."""
     v = np.asarray(speed, dtype=np.float64)
     if window <= 1 or v.size == 0:
@@ -382,8 +384,8 @@ _SPARC_PAD_LEVEL = 4
 def sparc(
     speed: np.ndarray,
     sample_rate_hz: float,
-    cutoff_hz: float = 10.0,
-    amplitude_threshold: float = 0.05,
+    cutoff_hz: float = SmoothnessConfig.sparc_cutoff_hz,
+    amplitude_threshold: float = SmoothnessConfig.sparc_amplitude_threshold,
 ) -> float:
     """Spectral arc length of a speed profile; closer to zero is smoother.
 
@@ -547,13 +549,10 @@ def _worker_frame_features(i: int) -> tuple[float, ...]:
     return _frame_row(frames[i], cfg)
 
 
-def write_features_csv(dest, table: FeatureTable) -> None:
+def write_features_csv(path: str | Path, table: FeatureTable) -> None:
     """Write the feature table as CSV; NaN (absent) values are empty fields."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_features_csv(fh, table)
-        return
-    dest.write(FEATURES_HEADER + "\n")
     values = np.column_stack([getattr(table, f.name) for f in fields(table)[1:]])
-    for t, row in zip(table.t_us.tolist(), values.tolist()):
-        dest.write(",".join([str(t), *("" if v != v else repr(v) for v in row)]) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(FEATURES_HEADER + "\n")
+        for t, row in zip(table.t_us.tolist(), values.tolist()):
+            fh.write(",".join([str(t), *("" if v != v else repr(v) for v in row)]) + "\n")

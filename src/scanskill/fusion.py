@@ -214,18 +214,15 @@ def _fuse_span(
     ]
 
 
-def write_fused_csv(dest, fused: Iterable[FusedSample]) -> None:
+def write_fused_csv(path: str | Path, fused: Iterable[FusedSample]) -> None:
     """Write fused samples as CSV (``frame_idx``/staleness empty when none)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_fused_csv(fh, fused)
-        return
-    dest.write(FUSED_HEADER + "\n")
-    for s in fused:
-        w, x, y, z = (repr(float(v)) for v in s.q)
-        idx = "" if s.frame_idx is None else str(s.frame_idx)
-        stale = "" if s.frame_staleness_us is None else str(s.frame_staleness_us)
-        dest.write(f"{s.t_us},{w},{x},{y},{z},{idx},{stale}\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(FUSED_HEADER + "\n")
+        for s in fused:
+            w, x, y, z = (repr(float(v)) for v in s.q)
+            idx = "" if s.frame_idx is None else str(s.frame_idx)
+            stale = "" if s.frame_staleness_us is None else str(s.frame_staleness_us)
+            fh.write(f"{s.t_us},{w},{x},{y},{z},{idx},{stale}\n")
 
 
 class StreamingFuser:

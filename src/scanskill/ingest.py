@@ -178,15 +178,12 @@ def read_pose_csv(source: IO[str] | str | Path) -> list[PoseSample]:
     return [PoseSample(t, q) for t, q in zip(times, q_normalize(np.array(quats)))]
 
 
-def write_pose_csv(dest: IO[str] | str | Path, poses: Iterable[PoseSample]) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_pose_csv(fh, poses)
-        return
-    dest.write(POSE_HEADER + "\n")
-    for p in poses:
-        w, x, y, z = (repr(float(v)) for v in p.q)
-        dest.write(f"{p.t_us},{w},{x},{y},{z}\n")
+def write_pose_csv(path: str | Path, poses: Iterable[PoseSample]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(POSE_HEADER + "\n")
+        for p in poses:
+            w, x, y, z = (repr(float(v)) for v in p.q)
+            fh.write(f"{p.t_us},{w},{x},{y},{z}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,14 @@ implementation.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .core import SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply, q_normalize
+from .core import INT64_MAX, SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply
+from .core import q_normalize
 from .fusion import _interpolate_on_grid, _slerp_pairs, hemisphere_align
 from .ingest import Frame, PoseSample, Session, write_session
 
@@ -48,8 +48,11 @@ __all__ = [
 
 EXPERT_SAMPLE_RANGE = (1600, 2500)
 NOVICE_SAMPLE_RANGE = (5000, 10000)
-EXPERT_TREMOR_AMP_RAD = 0.0
-NOVICE_TREMOR_AMP_RAD = 0.03
+# Novice tremor: 4 Hz per-axis sinusoids plus jitter, scaled to 0.03 rad; the
+# expert has none.  Novices take 6-12 slew segments, the count drawn per seed.
+_TREMOR_AMP_RAD = {"expert": 0.0, "novice": 0.03}
+_TREMOR_HZ = 4.0
+_NOVICE_SEGMENTS = (6, 12)
 
 # Orientation mis-alignment scale of the phantom renderer: image contrast is
 # 16 + 96 * exp(-(theta/sigma)^2) with theta the geodesic angle to target.
@@ -57,10 +60,10 @@ ALIGNMENT_SIGMA_RAD = 0.2
 _CONTRAST_BASE = 16.0
 _CONTRAST_GAIN = 96.0
 
-# Default target orientation: 1.2 rad about the (1,1,1) diagonal, far enough
+# Target orientation: 1.2 rad about the (1,1,1) diagonal, far enough
 # from the identity start that initial frames render near-flat.
-_DEFAULT_TARGET_AXIS = (1.0, 1.0, 1.0)
-_DEFAULT_TARGET_ANGLE = 1.2
+_TARGET_AXIS = (1.0, 1.0, 1.0)
+_TARGET_ANGLE = 1.2
 
 # Labels for independent rng streams (first entry of the seed sequence).
 _STREAM_TRAJECTORY = 0
@@ -79,12 +82,12 @@ _TREMOR_JITTER_SIGMA_SAMPLES = 4.0
 
 
 def default_target_orientation() -> np.ndarray:
-    return q_from_axis_angle(_DEFAULT_TARGET_AXIS, _DEFAULT_TARGET_ANGLE)
+    return q_from_axis_angle(_TARGET_AXIS, _TARGET_ANGLE)
 
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    """Generator parameters; None fields resolve to per-kind defaults."""
+    """Generator parameters; a None ``n_samples_range`` takes the per-kind range."""
 
     kind: str
     seed: int
@@ -93,10 +96,6 @@ class ProfileConfig:
     frame_width: int = 640
     frame_height: int = 480
     n_samples_range: tuple[int, int] | None = None
-    tremor_amp_rad: float | None = None
-    tremor_hz: float = 4.0
-    n_segments: int | None = None  # expert: 1; novice: drawn uniform 6..12
-    target_orientation: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODE:
@@ -106,32 +105,30 @@ class ProfileConfig:
         if not (self.pose_rate_hz > 0 and self.frame_rate_hz > 0):
             raise ValueError("rates must be positive")
         for name in ("pose_rate_hz", "frame_rate_hz"):
-            # Timestamps are whole microseconds: the period must round to >= 1.
+            # Timestamps are int64 microseconds: the period must round to
+            # 1..INT64_MAX (the comparison of a float with an int is exact).
             rate = getattr(self, name)
-            if not 0.5 < 1e6 / rate < math.inf:
-                raise ValueError(f"{name} {rate!r} has no whole-microsecond period; "
-                                 "expected a finite rate below 2 MHz")
+            if not 0.5 < 1e6 / rate < INT64_MAX:
+                raise ValueError(f"{name} {rate!r} has no int64 whole-microsecond period; "
+                                 "expected a rate from 1.1e-13 Hz to below 2 MHz")
         if self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("frame geometry must be positive")
         lo, hi = self.resolved_samples_range()
         if not (0 < lo <= hi):
             raise ValueError("n_samples_range must be a non-empty positive interval")
-        if self.resolved_tremor_amp() < 0:
-            raise ValueError("tremor_amp_rad must be >= 0")
+        # So must the last pose timestamp; snapping to the frame grid can add
+        # samples past ``hi``.
+        n_max = max(hi, _snap_to_frame_grid(lo, lo, self))
+        if round(1e6 / self.pose_rate_hz) * (n_max - 1) > INT64_MAX:
+            raise ValueError(f"pose_rate_hz {self.pose_rate_hz!r} puts the last of up to "
+                             f"{n_max} poses past int64 microseconds")
 
     def resolved_samples_range(self) -> tuple[int, int]:
         if self.n_samples_range is not None:
             return self.n_samples_range
         return EXPERT_SAMPLE_RANGE if self.kind == "expert" else NOVICE_SAMPLE_RANGE
 
-    def resolved_tremor_amp(self) -> float:
-        if self.tremor_amp_rad is not None:
-            return self.tremor_amp_rad
-        return EXPERT_TREMOR_AMP_RAD if self.kind == "expert" else NOVICE_TREMOR_AMP_RAD
-
     def resolved_target(self) -> np.ndarray:
-        if self.target_orientation is not None:
-            return q_normalize(np.array(self.target_orientation, dtype=np.float64))
         return default_target_orientation()
 
 
@@ -164,8 +161,8 @@ def gen_trajectory(profile: ProfileConfig) -> list[PoseSample]:
 
     Draw order (rng seeded with [0, kind_code, seed]): total sample count;
     then for experts the idle-lead-in fraction; for novices the segment
-    count (when not configured), per-waypoint perturbation axis and angle,
-    pause and slew duration weights, tremor phases, tremor jitter noise.
+    count, per-waypoint perturbation axis and angle, pause and slew duration
+    weights, tremor phases, tremor jitter noise.
     Both profiles end exactly on the target orientation.
     """
     rng = np.random.default_rng([_STREAM_TRAJECTORY, _KIND_CODE[profile.kind], profile.seed])
@@ -193,11 +190,8 @@ def gen_trajectory(profile: ProfileConfig) -> list[PoseSample]:
             ]
         )
     else:
-        quats = _novice_orientations(rng, profile, n_total, n_settle, identity, target)
-
-    amp = profile.resolved_tremor_amp()
-    if amp > 0.0:
-        tremor = _tremor_quats(rng, profile, n_total, amp)
+        quats = _novice_orientations(rng, n_total, n_settle, identity, target)
+        tremor = _tremor_quats(rng, profile.pose_rate_hz, n_total)
         active = tremor[:, 0] != 1.0  # keep rest samples bit-exactly at rest
         quats[active] = q_normalize(q_multiply(quats[active], tremor[active]))
 
@@ -221,15 +215,12 @@ def _snap_to_frame_grid(n: int, lo: int, profile: ProfileConfig) -> int:
 
 def _novice_orientations(
     rng: np.random.Generator,
-    profile: ProfileConfig,
     n_total: int,
     n_settle: int,
     start: np.ndarray,
     target: np.ndarray,
 ) -> np.ndarray:
-    k = profile.n_segments if profile.n_segments is not None else int(rng.integers(6, 13))
-    if k < 1:
-        raise ValueError("n_segments must be >= 1")
+    k = int(rng.integers(_NOVICE_SEGMENTS[0], _NOVICE_SEGMENTS[1] + 1))
 
     waypoints = [start]
     for i in range(1, k + 1):
@@ -277,15 +268,13 @@ def _novice_orientations(
     return quats
 
 
-def _tremor_quats(
-    rng: np.random.Generator, profile: ProfileConfig, n_total: int, amp: float
-) -> np.ndarray:
+def _tremor_quats(rng: np.random.Generator, pose_rate_hz: float, n_total: int) -> np.ndarray:
     """Small body-frame rotations: per-axis sinusoids with smoothed jitter.
 
     The envelope tapers to zero before the settle margin, so the final
     ``_SETTLE_S`` of every session carries identity tremor (exact rest).
     """
-    t_s = np.arange(n_total) / profile.pose_rate_hz
+    t_s = np.arange(n_total) / pose_rate_hz
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     jitter = rng.standard_normal((n_total, 3))
     jitter = _gaussian_blur(jitter, _TREMOR_JITTER_SIGMA_SAMPLES, axes=(0,))
@@ -294,8 +283,9 @@ def _tremor_quats(
 
     active_end = t_s[-1] - _SETTLE_S
     envelope = np.clip((active_end - t_s) / _TREMOR_TAPER_S, 0.0, 1.0)
-    wave = np.sin(2.0 * np.pi * profile.tremor_hz * t_s[:, None] + phases[None, :])
-    rotvec = (amp / np.sqrt(3.0)) * (wave + _TREMOR_JITTER_GAIN * jitter) * envelope[:, None]
+    wave = np.sin(2.0 * np.pi * _TREMOR_HZ * t_s[:, None] + phases[None, :])
+    scale = _TREMOR_AMP_RAD["novice"] / np.sqrt(3.0)
+    rotvec = scale * (wave + _TREMOR_JITTER_GAIN * jitter) * envelope[:, None]
 
     angles = np.linalg.norm(rotvec, axis=1)
     safe = np.where(angles > 0, angles, 1.0)
@@ -435,9 +425,9 @@ def build_session(profile: ProfileConfig) -> Session:
         "frame_height": profile.frame_height,
         "n_samples_range": list(profile.resolved_samples_range()),
         "n_samples": len(poses),
-        "tremor_amp_rad": profile.resolved_tremor_amp(),
-        "tremor_hz": profile.tremor_hz,
-        "n_segments": profile.n_segments,
+        "tremor_amp_rad": _TREMOR_AMP_RAD[profile.kind],
+        "tremor_hz": _TREMOR_HZ,
+        "n_segments": None,  # expert: one slew; novice: drawn from _NOVICE_SEGMENTS
         "target_orientation": [float(v) for v in target],
     }
     return Session(meta=meta, poses=poses, frames=frames, synthetic_profile=echo)

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scanskill.core import q_multiply
 from scanskill.features import GlcmConfig, SmoothnessConfig
 from scanskill.fusion import ResampleConfig
-from scanskill.ingest import PoseSample
+from scanskill.ingest import PoseSample, Session
 from scanskill.skill import (
     ClassifierThresholds,
     SkillReport,
@@ -15,9 +19,9 @@ from scanskill.skill import (
     report_document,
     report_from_document,
 )
-from scanskill.synth import build_session, expert_profile, extend_with_idle
+from scanskill.synth import build_session, expert_profile, extend_with_idle, novice_profile
 
-from conftest import IDENTITY, constant_frame, make_session
+from conftest import IDENTITY, constant_frame, make_session, unit_quaternions
 
 
 def _mk_report(n_samples=2000, sparc_val=-1.5, session_id="r", delta_t_us=10_000):
@@ -76,6 +80,65 @@ class TestBuildReport:
         extended = build_report(extend_with_idle(session, 10.0))
         assert extended.n_samples > base.n_samples
         assert extended.sparc <= base.sparc
+
+
+def _small_session(kind: str, seed: int) -> Session:
+    make = expert_profile if kind == "expert" else novice_profile
+    return build_session(make(seed, frame_width=32, frame_height=24, n_samples_range=(400, 500)))
+
+
+def _shifted_frame(frame, shift_us: int):
+    moved = copy.copy(frame)  # shares the frame's pixel source
+    moved.t_us += shift_us
+    return moved
+
+
+class TestSessionInvariance:
+    """Whole-session properties of ``build_report``."""
+
+    # g ⊗ q rounds each quaternion component once, about 1e-16 relative.  The
+    # speed differences orientations 10 ms apart, and LDLJ differentiates the
+    # speed twice more; on these sessions that grows the rounding to about
+    # 1e-13 relative at most (on ldlj).  1e-9 relative leaves ample margin and
+    # still fails on any real dependence of the motion metrics on the world frame.
+    ROTATION_REL_TOL = 1e-9
+    MOTION_FIELDS = ("path_length_rad", "sparc", "ldlj")
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["expert", "novice"]),
+        seed=st.integers(0, 1000),
+        shift_us=st.sampled_from([1, 123_457, 10**12]),
+    )
+    def test_time_shift_gives_equal_report(self, kind, seed, shift_us):
+        session = _small_session(kind, seed)
+        shifted = Session(
+            session.meta,
+            [PoseSample(p.t_us + shift_us, p.q) for p in session.poses],
+            [_shifted_frame(f, shift_us) for f in session.frames],
+            session.synthetic_profile,
+        )
+        assert build_report(shifted) == build_report(session)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["expert", "novice"]), seed=st.integers(0, 1000),
+           g=unit_quaternions())
+    def test_world_rotation_keeps_metrics(self, kind, seed, g):
+        session = _small_session(kind, seed)
+        rotated = Session(
+            session.meta,
+            [PoseSample(p.t_us, q_multiply(g, p.q)) for p in session.poses],
+            session.frames,
+            session.synthetic_profile,
+        )
+        base, turned = build_report(session), build_report(rotated)
+        for name in self.MOTION_FIELDS:
+            assert getattr(turned, name) == pytest.approx(
+                getattr(base, name), rel=self.ROTATION_REL_TOL
+            ), name
+        # Texture fields, counts and flags: exactly equal.
+        unmoved = {name: getattr(base, name) for name in self.MOTION_FIELDS}
+        assert dataclasses.replace(turned, **unmoved) == base
 
 
 class TestCompare:

@@ -94,6 +94,18 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="rates"):
             ProfileConfig(kind="expert", seed=0, pose_rate_hz=0.0)
 
+    def test_last_pose_timestamp_bound_counts_frame_grid_snap(self):
+        # Pose period 2**60 us, frame period 2**62 us: the span snaps to a
+        # multiple of 4 pose periods.  Five samples end at 2**62 and fit in
+        # int64; a range of 7 snaps up to 9 samples, the last at 2**63.
+        rate = 1e6 / 2**60
+        poses = gen_trajectory(
+            expert_profile(0, pose_rate_hz=rate, frame_rate_hz=rate / 4, n_samples_range=(5, 5))
+        )
+        assert [p.t_us for p in poses] == [k * 2**60 for k in range(5)]
+        with pytest.raises(ValueError, match=r"^pose_rate_hz .* 9 poses past int64"):
+            expert_profile(0, pose_rate_hz=rate, frame_rate_hz=rate / 4, n_samples_range=(7, 7))
+
 
 class TestPhantomFrames:
     TARGET = default_target_orientation()
