@@ -11,14 +11,15 @@ Example:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from scanskill.cli import _parse_frame_size, main as cli_main
 from scanskill.features import GlcmConfig, SmoothnessConfig
 from scanskill.fusion import ResampleConfig
-from scanskill.skill import build_report, calibrate_thresholds, classify, compare, report_document
+from scanskill.skill import (
+    build_report, calibrate_thresholds, classify, compare, report_document, write_report,
+)
 from scanskill.synth import build_session, expert_profile, gen_session, novice_profile
 
 
@@ -68,9 +69,7 @@ def main() -> int:
                   f"{report.sparc:>7.3f} {report.ldlj:>8.2f} {label:<13}")
             if outdir:
                 doc = report_document(report, ResampleConfig(), GlcmConfig(), SmoothnessConfig())
-                with open(sess_dir / "report.json", "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=2)
-                    fh.write("\n")
+                write_report(sess_dir / "report.json", doc)
                 cli_main(["export-plot", "--session", str(sess_dir)])
 
     print()

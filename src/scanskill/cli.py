@@ -23,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .skill import build_report, compare, report_document, report_from_document
+from .skill import build_report, compare, report_document, report_from_document, write_report
 
 # The pipeline modules (and with them numpy) are imported by the subcommands
 # that run them, so that `compare` starts in a fraction of the time.
@@ -279,9 +279,7 @@ def _cmd_report(args) -> int:
     report = build_report(session, fuse_cfg, glcm_cfg, smoothness)
     doc = report_document(report, fuse_cfg, glcm_cfg, smoothness)
     path = _out_dir(args) / "report.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_report(path, doc)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_multiply
-from .ingest import Frame, Session
+from .ingest import Frame, Session, _uint8_pixels
 
 __all__ = [
     "FeatureTable",
@@ -149,14 +149,9 @@ class SmoothnessConfig:
 # ---------------------------------------------------------------------------
 # texture
 
-def _pixels_of(frame: Frame | np.ndarray) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return frame.pixels
-    return np.asarray(frame, dtype=np.uint8)
-
-
-def _crop(px: np.ndarray, roi: tuple[int, int, int, int] | None) -> np.ndarray:
-    """The (x, y, w, h) region of ``px``, all of it when ``roi`` is None."""
+def _pixels_of(frame: Frame | np.ndarray, roi: tuple[int, int, int, int] | None) -> np.ndarray:
+    """The uint8 pixels of ``frame`` in its (x, y, w, h) ``roi``, all of them when None."""
+    px = frame.pixels if isinstance(frame, Frame) else _uint8_pixels(frame)
     if roi is None:
         return px
     x, y, w, h = roi
@@ -172,7 +167,7 @@ def quantize(
     if levels not in ALLOWED_LEVELS:
         raise ValueError(f"levels must be one of {ALLOWED_LEVELS}")
     # All allowed level counts are powers of two: floor(p*L/256) == p >> shift.
-    return _crop(_pixels_of(frame), roi) >> (9 - levels.bit_length())
+    return _pixels_of(frame, roi) >> (9 - levels.bit_length())
 
 
 def _pair_region(shape: tuple[int, int], offset: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -253,7 +248,7 @@ def texture_features(P: np.ndarray) -> TextureFeatures:
 
 def histogram_stats(frame: Frame | np.ndarray, roi=None) -> HistogramStats:
     """Intensity distribution over the same region texture uses."""
-    px = _crop(_pixels_of(frame), roi)
+    px = _pixels_of(frame, roi)
     if px.size == 0:
         raise ValueError("empty frame")
     return _histogram(np.bincount(px.ravel(), minlength=256), px.size)
@@ -280,7 +275,7 @@ def frame_features(
     averaging.  The results equal those of :func:`quantize`, :func:`glcm`,
     :func:`texture_features` and :func:`histogram_stats` bit for bit.
     """
-    px = _crop(_pixels_of(frame), cfg.roi)
+    px = _pixels_of(frame, cfg.roi)
     levels = cfg.levels
     q = quantize(px, levels)
     first, *rest = cfg.offsets
@@ -363,7 +358,8 @@ def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
     the series duration, as in Balasubramanian, Melendez-Calderon & Burdet
     (IEEE TBME 59(8), 2012) and Balasubramanian et al. (JNER 12:112, 2015).
     Invariant under positive scaling of the speed and, up to the
-    discretisation, of the duration; more negative means jerkier.
+    discretisation, of the duration; more negative means jerkier.  Raises
+    ValueError when ``v_peak^2`` or the cost leaves floating-point range.
     """
     v = np.asarray(speed, dtype=np.float64)
     if v.size < 3:
@@ -371,9 +367,13 @@ def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
     v_peak = float(np.max(np.abs(v)))
     if v_peak == 0.0:
         raise ValueError("no motion")
+    if v_peak**2 == 0.0:
+        raise ValueError(f"peak speed {v_peak!r} squared underflows")
     jerk = np.gradient(np.gradient(v, delta_t_s), delta_t_s)
     duration = (v.size - 1) * delta_t_s
     cost = (duration**3 / v_peak**2) * float(np.sum(jerk * jerk)) * delta_t_s
+    if not 0.0 < cost < math.inf:
+        raise ValueError(f"jerk cost {cost!r} is not a finite positive number")
     return -math.log(cost)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -44,7 +44,7 @@ __all__ = [
 POSE_HEADER = "t_us,w,x,y,z"
 FRAME_INDEX_HEADER = "t_us,file"
 
-_MANIFEST_KEYS = ("session_id", "participant_role", "trial", "pose_rate_hz", "frame_rate_hz")
+_MANIFEST_KEYS = tuple(f.name for f in fields(SessionMeta))
 # Extension key written by the synthetic-session generator; tolerated on read.
 _MANIFEST_EXTRA_KEYS = ("synthetic_profile",)
 
@@ -60,6 +60,16 @@ class PoseSample:
 
     t_us: int
     q: np.ndarray  # shape (4,), [w, x, y, z]
+
+
+def _uint8_pixels(pixels) -> np.ndarray:
+    """``pixels`` as uint8; a plain cast would wrap 300 to 44 and truncate floats silently."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.uint8:
+        if pixels.dtype.kind not in "iu" or np.any((pixels < 0) | (pixels > 255)):
+            raise ValueError("pixels must be uint8 or integers in [0, 255]")
+        pixels = pixels.astype(np.uint8)
+    return pixels
 
 
 class Frame:
@@ -87,12 +97,7 @@ class Frame:
         if pixels is None and path is None:
             raise ValueError("frame needs pixel data or a backing file")
         if pixels is not None:
-            pixels = np.asarray(pixels)
-            # A plain cast would wrap 300 to 44 and truncate floats silently.
-            if pixels.dtype != np.uint8:
-                if pixels.dtype.kind not in "iu" or np.any((pixels < 0) | (pixels > 255)):
-                    raise ValueError("pixels must be uint8 or integers in [0, 255]")
-                pixels = pixels.astype(np.uint8)
+            pixels = _uint8_pixels(pixels)
             if pixels.shape != (height, width):
                 raise ValueError("pixel buffer does not match frame geometry")
         self.t_us = t_us
@@ -130,42 +135,55 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# pose.csv
+# pose.csv and frames/index.csv
 
-def read_pose_csv(source: IO[str] | str | Path) -> list[PoseSample]:
-    """Parse a ``pose.csv`` stream or file into ordered pose samples.
+def _rows(path: str | Path, header: str, n_fields: int):
+    """Yield ``(lineno, t_us, other_fields)`` for each data line of a session CSV.
+
+    The grammar ``pose.csv`` and ``frames/index.csv`` share: ``header``, blank lines
+    skipped, ``n_fields`` fields, an integer ``t_us`` first that strictly increases.
+    Raises ValueError naming the 1-based line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\r\n") != header:
+            raise ValueError(f"bad header line 1: expected '{header}'")
+        prev_t = None
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ValueError(
+                    f"malformed line {lineno}: expected {n_fields} fields, got {len(parts)}"
+                )
+            try:
+                t = int(parts[0])
+            except ValueError as exc:
+                raise ValueError(f"malformed line {lineno}: {exc}") from None
+            if prev_t is not None and t <= prev_t:
+                raise ValueError(f"timestamp regression at line {lineno}")
+            prev_t = t
+            yield lineno, t, parts[1:]
+
+
+def read_pose_csv(path: str | Path) -> list[PoseSample]:
+    """Parse a ``pose.csv`` file into ordered pose samples.
 
     Quaternions are normalized on read (sensor quantization tolerated).
     Raises ValueError with a 1-based line number on malformed lines
     (including non-finite quaternion components) and on timestamp
     regressions; an empty file raises ``"no samples"``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_pose_csv(fh)
-    header = source.readline().rstrip("\r\n")
-    if header != POSE_HEADER:
-        raise ValueError(f"bad header line 1: expected '{POSE_HEADER}'")
     times: list[int] = []
     quats: list[list[float]] = []
-    prev_t = None
-    for lineno, raw in enumerate(source, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"malformed line {lineno}: expected 5 fields, got {len(parts)}")
+    for lineno, t, parts in _rows(path, POSE_HEADER, 5):
         try:
-            t = int(parts[0])
-            comps = [float(p) for p in parts[1:]]
+            comps = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"malformed line {lineno}: {exc}") from None
         if not all(map(math.isfinite, comps)):
             raise ValueError(f"malformed line {lineno}: non-finite quaternion component")
-        if prev_t is not None and t <= prev_t:
-            raise ValueError(f"timestamp regression at line {lineno}")
-        prev_t = t
         w, x, y, z = comps
         # All rows are normalized at once below; checking here keeps errors in
         # file order.  A zero sum of squares is what q_normalize rejects.
@@ -253,39 +271,20 @@ def read_frame_index(session_dir: str | Path) -> list[Frame]:
         raise ValueError(f"missing frame index {index_path}")
     frames: list[Frame] = []
     geometry: tuple[int, int] | None = None
-    prev_t = None
-    with open(index_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != FRAME_INDEX_HEADER:
-            raise ValueError(f"bad header line 1: expected '{FRAME_INDEX_HEADER}'")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed line {lineno}: expected 2 fields")
-            try:
-                t = int(parts[0])
-            except ValueError as exc:
-                raise ValueError(f"malformed line {lineno}: {exc}") from None
-            if prev_t is not None and t <= prev_t:
-                raise ValueError(f"timestamp regression at line {lineno}")
-            prev_t = t
-            rel = parts[1]
-            # Lexical check, so no syscall per frame: stay inside the session.
-            if rel.startswith("/") or ".." in rel.split("/"):
-                raise ValueError(f"line {lineno}: frame path {rel} leaves the session")
-            path = session_dir / rel
-            if not path.is_file():
-                raise ValueError(f"missing frame file {rel}")
-            with open(path, "rb") as pgm:
-                width, height = _read_pgm_header(pgm, path)
-            if geometry is None:
-                geometry = (width, height)
-            elif geometry != (width, height):
-                raise ValueError("frame geometry changed")
-            frames.append(Frame(t, width, height, path=path))
+    for lineno, t, (rel,) in _rows(index_path, FRAME_INDEX_HEADER, 2):
+        # Lexical check, so no syscall per frame: stay inside the session.
+        if rel.startswith("/") or ".." in rel.split("/"):
+            raise ValueError(f"line {lineno}: frame path {rel} leaves the session")
+        path = session_dir / rel
+        if not path.is_file():
+            raise ValueError(f"missing frame file {rel}")
+        with open(path, "rb") as pgm:
+            width, height = _read_pgm_header(pgm, path)
+        if geometry is None:
+            geometry = (width, height)
+        elif geometry != (width, height):
+            raise ValueError("frame geometry changed")
+        frames.append(Frame(t, width, height, path=path))
     return frames
 
 
@@ -297,13 +296,7 @@ def write_manifest(
     meta: SessionMeta,
     synthetic_profile: dict | None = None,
 ) -> None:
-    doc: dict = {
-        "session_id": meta.session_id,
-        "participant_role": meta.participant_role,
-        "trial": meta.trial,
-        "pose_rate_hz": meta.pose_rate_hz,
-        "frame_rate_hz": meta.frame_rate_hz,
-    }
+    doc = asdict(meta)
     if synthetic_profile is not None:
         doc["synthetic_profile"] = synthetic_profile
     path = Path(session_dir) / "manifest.json"

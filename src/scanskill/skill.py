@@ -10,6 +10,7 @@ calibrated thresholds; ``compare`` ranks two reports directly.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable
@@ -29,6 +30,7 @@ __all__ = [
     "classify",
     "compare",
     "report_document",
+    "write_report",
 ]
 
 # Fixed metric ordering for comparison/report output (stable for diffing).
@@ -254,6 +256,13 @@ def report_document(
     doc["config"] = {**_config_echo(fuse_cfg), "glcm": _config_echo(glcm_cfg),
                      **_config_echo(smoothness)}
     return doc
+
+
+def write_report(path, doc: dict) -> None:
+    """Write a :func:`report_document` as strict JSON; a non-finite metric raises ValueError."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _config_echo(cfg) -> dict:

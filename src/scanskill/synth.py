@@ -24,7 +24,7 @@ implementation.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -417,12 +417,7 @@ def build_session(profile: ProfileConfig) -> Session:
         frame_rate_hz=profile.frame_rate_hz,
     )
     echo = {
-        "kind": profile.kind,
-        "seed": profile.seed,
-        "pose_rate_hz": profile.pose_rate_hz,
-        "frame_rate_hz": profile.frame_rate_hz,
-        "frame_width": profile.frame_width,
-        "frame_height": profile.frame_height,
+        **asdict(profile),
         "n_samples_range": list(profile.resolved_samples_range()),
         "n_samples": len(poses),
         "tremor_amp_rad": _TREMOR_AMP_RAD[profile.kind],

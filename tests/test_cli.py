@@ -274,6 +274,25 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: malformed line 6: non-finite quaternion component"]
 
+    @pytest.mark.parametrize("x", ["8e-165", "2e-164", "5e-159"])
+    def test_ldlj_out_of_float_range_is_null_with_flag(self, session_dir, tmp_path, x):
+        # Every 7th pose is (1, x, 0, 0), a turn of about 2x rad, the rest
+        # identity: v_peak**2 underflows (8e-165) or the jerk cost overflows.
+        tiny = tmp_path / "tiny"
+        shutil.copytree(session_dir, tiny)
+        header, *rows = (tiny / "pose.csv").read_text().splitlines()
+        rows = [f"{row.split(',')[0]},1.0,{x if i % 7 == 0 else 0.0},0.0,0.0"
+                for i, row in enumerate(rows)]
+        (tiny / "pose.csv").write_text("\n".join([header, *rows]) + "\n")
+        code, err = _run(["report", "--session", str(tiny)])
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        doc = json.loads((tiny / "report.json").read_text(), parse_constant=reject)
+        assert doc["ldlj"] is None
+        assert [f for f in doc["flags"] if f.startswith("ldlj: ")]
 
     def test_frame_path_leaving_session_is_pipeline_error(self, session_dir, tmp_path, capsys):
         bad = tmp_path / "escape" / "s"

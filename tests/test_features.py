@@ -355,6 +355,27 @@ class TestHistogram:
         assert histogram_stats(img, roi=(5, 5, 5, 5)).bins[7] == 1.0
 
 
+
+class TestArrayInput:
+    FUNCTIONS = {
+        "histogram_stats": histogram_stats,
+        "quantize": lambda px: quantize(px, 32),
+        "frame_features": lambda px: frame_features(px, GlcmConfig()),
+    }
+
+    @pytest.mark.parametrize("value", [300, -1, 2.7])
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_lossy_pixels_rejected(self, name, value):
+        with pytest.raises(ValueError, match=r"^pixels must be uint8 or integers in \[0, 255\]$"):
+            self.FUNCTIONS[name](np.full((6, 8), value))
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_integer_pixels_in_range_read_as_uint8(self, name):
+        img = np.random.default_rng(3).integers(0, 256, (6, 8))
+        got, want = (self.FUNCTIONS[name](px) for px in (img, img.astype(np.uint8)))
+        assert repr(got) == repr(want)
+
+
 # --- motion ------------------------------------------------------------------
 
 def _grid_poses(quats, dt_us=10_000):
@@ -458,6 +479,18 @@ class TestLdlj:
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             log_dimensionless_jerk(np.array([0.0, 1.0]), 0.01)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e-165, "^peak speed .* squared underflows$"),
+        (1e-160, "^jerk cost (inf|nan) is not a finite positive number$"),
+    ], ids=["underflow", "overflow"])
+    def test_out_of_float_range(self, scale, message):
+        with pytest.raises(ValueError, match=message):
+            log_dimensionless_jerk(scale * min_jerk_bell(200, 0.01), 0.01)
+
+    def test_zero_jerk(self):
+        with pytest.raises(ValueError, match="^jerk cost 0.0 is not a finite positive number$"):
+            log_dimensionless_jerk(np.full(10, 0.5), 0.01)
 
     def test_matches_stated_formula(self):
         v = min_jerk_bell(64, 0.02)

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 
@@ -9,6 +8,8 @@ from hypothesis import strategies as st
 
 from scanskill.core import SessionMeta, q_normalize
 from scanskill.ingest import (
+    FRAME_INDEX_HEADER,
+    POSE_HEADER,
     Frame,
     PoseSample,
     load_session,
@@ -25,55 +26,61 @@ from scanskill.ingest import (
 from conftest import IDENTITY, constant_frame, make_session, peak_rss_kib, smooth_pose_walk
 
 
+def _pose_csv(directory, text):
+    path = directory / "pose.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestPoseCsv:
-    def test_two_identity_samples(self):
-        samples = read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0,0\n10000,1,0,0,0"))
+    def test_two_identity_samples(self, tmp_path):
+        samples = read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,1,0,0,0\n10000,1,0,0,0"))
         assert len(samples) == 2
         assert [s.t_us for s in samples] == [0, 10000]
         for s in samples:
             np.testing.assert_allclose(s.q, IDENTITY)
 
-    def test_normalized_on_read(self):
-        samples = read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,2,0,0,0"))
+    def test_normalized_on_read(self, tmp_path):
+        samples = read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,2,0,0,0"))
         assert len(samples) == 1
         np.testing.assert_allclose(samples[0].q, IDENTITY)
 
-    def test_timestamp_regression(self):
+    def test_timestamp_regression(self, tmp_path):
         with pytest.raises(ValueError, match="timestamp regression at line 3"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n10,1,0,0,0\n5,1,0,0,0"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n10,1,0,0,0\n5,1,0,0,0"))
 
-    def test_malformed_line_number(self):
+    def test_malformed_line_number(self, tmp_path):
         with pytest.raises(ValueError, match="line 2"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,1,0,0"))
         with pytest.raises(ValueError, match="line 3"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0,0\n1,nope,0,0,0"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,1,0,0,0\n1,nope,0,0,0"))
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="no samples"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n"))
 
-    def test_bad_header(self):
+    def test_bad_header(self, tmp_path):
         with pytest.raises(ValueError, match="expected 't_us,w,x,y,z'"):
-            read_pose_csv(io.StringIO("time,w,x,y,z\n0,1,0,0,0"))
+            read_pose_csv(_pose_csv(tmp_path, "time,w,x,y,z\n0,1,0,0,0"))
 
-    def test_zero_quaternion_line(self):
+    def test_zero_quaternion_line(self, tmp_path):
         with pytest.raises(ValueError, match="line 2: degenerate quaternion"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,0,0,0,0"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,0,0,0,0"))
 
-    def test_errors_reported_in_file_order(self):
+    def test_errors_reported_in_file_order(self, tmp_path):
         with pytest.raises(ValueError, match="^line 3: degenerate quaternion"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0,0\n1,0,0,0,0\n2,1,0,0\n"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,1,0,0,0\n1,0,0,0,0\n2,1,0,0\n"))
         with pytest.raises(ValueError, match="^malformed line 3"):
-            read_pose_csv(io.StringIO("t_us,w,x,y,z\n0,1,0,0,0\n1,1,0,0\n2,0,0,0,0\n"))
+            read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,1,0,0,0\n1,1,0,0\n2,0,0,0,0\n"))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_component_line(self, bad):
+    def test_non_finite_component_line(self, tmp_path, bad):
         with pytest.raises(ValueError, match="malformed line 3: non-finite"):
-            read_pose_csv(io.StringIO(f"t_us,w,x,y,z\n0,1,0,0,0\n1,1,{bad},0,0"))
+            read_pose_csv(_pose_csv(tmp_path, f"t_us,w,x,y,z\n0,1,0,0,0\n1,1,{bad},0,0"))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
-    def test_fuzz_count_matches_lines(self, seed, n):
+    def test_fuzz_count_matches_lines(self, tmp_path_factory, seed, n):
         rng = np.random.default_rng(seed)
         t = np.cumsum(rng.integers(1, 20_000, size=n))
         lines = ["t_us,w,x,y,z"]
@@ -83,7 +90,7 @@ class TestPoseCsv:
                 q = rng.standard_normal(4)
             w, x, y, z = (repr(float(v)) for v in q)
             lines.append(f"{ti},{w},{x},{y},{z}")
-        samples = read_pose_csv(io.StringIO("\n".join(lines)))
+        samples = read_pose_csv(_pose_csv(tmp_path_factory.mktemp("fuzz"), "\n".join(lines)))
         assert len(samples) == n
         for s, line in zip(samples, lines[1:]):
             assert abs(np.linalg.norm(s.q) - 1.0) <= 1e-9
@@ -188,6 +195,58 @@ class TestFrameIndex:
         (tmp_path / "s" / "frames" / "index.csv").write_text(f"t_us,file\n0,{rel}\n")
         with pytest.raises(ValueError, match="leaves the session"):
             read_frame_index(tmp_path / "s")
+
+
+def _pose_reader(root, lines):
+    """Write ``lines`` as ``pose.csv``; returns a call that reads it."""
+    path = _pose_csv(root, "".join(f"{line}\n" for line in lines))
+    return lambda: read_pose_csv(path)
+
+
+def _index_reader(root, lines):
+    """Write ``lines`` as ``frames/index.csv`` beside one PGM; returns a call that reads it."""
+    _write_index(root, [(0, "000000.pgm", np.zeros((4, 6), dtype=np.uint8))])
+    (root / "frames" / "index.csv").write_text("".join(f"{line}\n" for line in lines))
+    return lambda: read_frame_index(root)
+
+
+class TestSessionCsvGrammar:
+    """``pose.csv`` and ``frames/index.csv`` reject the same broken rows alike."""
+
+    # header, the rest of a valid data line, field count, writer
+    FORMATS = {
+        "pose": (POSE_HEADER, "1,0,0,0", 5, _pose_reader),
+        "index": (FRAME_INDEX_HEADER, "frames/000000.pgm", 2, _index_reader),
+    }
+
+    # header line, data lines ({row}: the rest of a valid line), message
+    CASES = {
+        "header": ("t,{rest}", ["0,{row}"], "bad header line 1: expected '{header}'"),
+        "field-count": ("{header}", ["0,{row}", "10"],
+                        "malformed line 3: expected {n} fields, got 1"),
+        "t-us": ("{header}", ["0,{row}", "1.5,{row}"],
+                 "malformed line 3: invalid literal for int() with base 10: '1.5'"),
+        "repeated-t-us": ("{header}", ["0,{row}", "0,{row}"], "timestamp regression at line 3"),
+        "blank-lines": ("{header}", ["", "0,{row}", "  ", "", "5,{row}", "5,{row}"],
+                        "timestamp regression at line 7"),
+    }
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_line_numbered_error(self, tmp_path, fmt, case):
+        header, row, n, make_reader = self.FORMATS[fmt]
+        header_line, lines, message = self.CASES[case]
+        header_line = header_line.format(header=header, rest=header.split(",", 1)[1])
+        read = make_reader(tmp_path, [header_line] + [line.format(row=row) for line in lines])
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert str(exc.value) == message.format(header=header, n=n)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_blank_lines_skipped(self, tmp_path, fmt):
+        header, row, _, make_reader = self.FORMATS[fmt]
+        read = make_reader(tmp_path, [header, "", f"0,{row}", " ", f"7,{row}", ""])
+        assert [x.t_us for x in read()] == [0, 7]
 
 
 class TestFrame:

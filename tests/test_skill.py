@@ -18,6 +18,7 @@ from scanskill.skill import (
     compare,
     report_document,
     report_from_document,
+    write_report,
 )
 from scanskill.synth import build_session, expert_profile, extend_with_idle, novice_profile
 
@@ -225,3 +226,11 @@ class TestReportDocument:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             report_from_document({"session_id": "x"})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_metric_not_written(self, tiny_report, tmp_path, value):
+        doc = report_document(tiny_report, ResampleConfig(), GlcmConfig(), SmoothnessConfig())
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report(path, {**doc, "ldlj": value})
+        assert not path.exists()
