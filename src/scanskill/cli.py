@@ -307,23 +307,21 @@ def _cmd_compare(args) -> int:
 def _cmd_export_plot(args) -> int:
     from .features import compute_feature_table
     from .fusion import fuse_streams
-    from .ingest import load_session
+    from .ingest import _write_csv, load_session
 
     session = load_session(args.session)
     fuse_cfg, glcm_cfg, _ = _pipeline_configs(args)
     fused = fuse_streams(session, fuse_cfg)
     table = compute_feature_table(session, fused, glcm_cfg)
+    t_us = table.t_us.tolist()
+    q = {f"q{c}": [float(s.q[i]) for s in fused] for i, c in enumerate("wxyz")}
+    rows = (
+        (t, series, value)
+        for series in _PLOT_SERIES
+        for t, value in zip(t_us, q[series] if series in q else getattr(table, series).tolist())
+        if value == value  # NaN: no frame at this instant
+    )
     path = _out_dir(args) / "plot.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_us,series,value\n")
-        for series in _PLOT_SERIES:
-            if series.startswith("q"):
-                component = "wxyz".index(series[1])
-                for sample in fused:
-                    fh.write(f"{sample.t_us},{series},{repr(float(sample.q[component]))}\n")
-                continue
-            for t, value in zip(table.t_us.tolist(), getattr(table, series).tolist()):
-                if value == value:  # NaN: no frame at this instant
-                    fh.write(f"{t},{series},{value!r}\n")
+    _write_csv(path, "t_us,series,value", rows)
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_multiply
-from .ingest import Frame, Session, _uint8_pixels
+from .ingest import Frame, Session, _uint8_pixels, _write_csv
 
 __all__ = [
     "FeatureTable",
@@ -551,8 +551,5 @@ def _worker_frame_features(i: int) -> tuple[float, ...]:
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:
     """Write the feature table as CSV; NaN (absent) values are empty fields."""
-    values = np.column_stack([getattr(table, f.name) for f in fields(table)[1:]])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FEATURES_HEADER + "\n")
-        for t, row in zip(table.t_us.tolist(), values.tolist()):
-            fh.write(",".join([str(t), *("" if v != v else repr(v) for v in row)]) + "\n")
+    values = np.column_stack([getattr(table, f.name) for f in fields(table)[1:]]).tolist()
+    _write_csv(path, FEATURES_HEADER, ([t, *row] for t, row in zip(table.t_us.tolist(), values)))

@@ -22,7 +22,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .core import check_int, q_normalize
-from .ingest import PoseSample, Session
+from .ingest import PoseSample, Session, _write_csv
 
 __all__ = [
     "FusedSample",
@@ -216,13 +216,8 @@ def _fuse_span(
 
 def write_fused_csv(path: str | Path, fused: Iterable[FusedSample]) -> None:
     """Write fused samples as CSV (``frame_idx``/staleness empty when none)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FUSED_HEADER + "\n")
-        for s in fused:
-            w, x, y, z = (repr(float(v)) for v in s.q)
-            idx = "" if s.frame_idx is None else str(s.frame_idx)
-            stale = "" if s.frame_staleness_us is None else str(s.frame_staleness_us)
-            fh.write(f"{s.t_us},{w},{x},{y},{z},{idx},{stale}\n")
+    rows = ([s.t_us, *s.q.tolist(), s.frame_idx, s.frame_staleness_us] for s in fused)
+    _write_csv(path, FUSED_HEADER, rows)
 
 
 class StreamingFuser:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 
-from .core import SessionMeta, q_normalize
+from .core import INT64_MAX, SessionMeta, q_normalize
 
 __all__ = [
     "Frame",
@@ -141,8 +142,8 @@ def _rows(path: str | Path, header: str, n_fields: int):
     """Yield ``(lineno, t_us, other_fields)`` for each data line of a session CSV.
 
     The grammar ``pose.csv`` and ``frames/index.csv`` share: ``header``, blank lines
-    skipped, ``n_fields`` fields, an integer ``t_us`` first that strictly increases.
-    Raises ValueError naming the 1-based line.
+    skipped, ``n_fields`` fields, an integer ``t_us`` in ``[0, INT64_MAX]`` first that
+    strictly increases.  Raises ValueError naming the 1-based line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\r\n") != header:
@@ -161,10 +162,24 @@ def _rows(path: str | Path, header: str, n_fields: int):
                 t = int(parts[0])
             except ValueError as exc:
                 raise ValueError(f"malformed line {lineno}: {exc}") from None
+            if not 0 <= t <= INT64_MAX:
+                raise ValueError(f"malformed line {lineno}: t_us {t} outside 0..{INT64_MAX}")
             if prev_t is not None and t <= prev_t:
                 raise ValueError(f"timestamp regression at line {lineno}")
             prev_t = t
             yield lineno, t, parts[1:]
+
+
+def _write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV with ``\\n`` line ends: every output CSV.
+
+    A ``None`` or NaN field is empty, any other is its ``str``, which for a Python
+    float is its shortest round-trip ``repr``; so pass plain values (``.tolist()``).
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None or v != v else str(v) for v in row) + "\n")
 
 
 def read_pose_csv(path: str | Path) -> list[PoseSample]:
@@ -197,11 +212,7 @@ def read_pose_csv(path: str | Path) -> list[PoseSample]:
 
 
 def write_pose_csv(path: str | Path, poses: Iterable[PoseSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(POSE_HEADER + "\n")
-        for p in poses:
-            w, x, y, z = (repr(float(v)) for v in p.q)
-            fh.write(f"{p.t_us},{w},{x},{y},{z}\n")
+    _write_csv(path, POSE_HEADER, ([p.t_us, *p.q.tolist()] for p in poses))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +222,11 @@ def read_pgm(path: str | Path) -> tuple[int, int, np.ndarray]:
     """Read a binary PGM (P5, maxval 255). Returns (width, height, pixels)."""
     with open(path, "rb") as fh:
         width, height = _read_pgm_header(fh, path)
+        # Checked before reading: a header may claim more than any buffer can hold.
+        if width * height > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"truncated raster in {path}")
         raster = fh.read(width * height)
-    if len(raster) != width * height:
-        raise ValueError(f"truncated raster in {path}")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return width, height, pixels
+    return width, height, np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
 def _read_pgm_header(fh: IO[bytes], path) -> tuple[int, int]:
@@ -334,12 +345,10 @@ def write_session(session_dir: str | Path, session: Session) -> None:
     frames_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(session_dir, session.meta, session.synthetic_profile)
     write_pose_csv(session_dir / "pose.csv", session.poses)
-    with open(frames_dir / "index.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FRAME_INDEX_HEADER + "\n")
-        for i, frame in enumerate(session.frames):
-            rel = f"frames/{i:06d}.pgm"
-            write_pgm(session_dir / rel, frame.pixels)
-            fh.write(f"{frame.t_us},{rel}\n")
+    rows = [(frame.t_us, f"frames/{i:06d}.pgm") for i, frame in enumerate(session.frames)]
+    for frame, (_, rel) in zip(session.frames, rows):
+        write_pgm(session_dir / rel, frame.pixels)
+    _write_csv(frames_dir / "index.csv", FRAME_INDEX_HEADER, rows)
 
 
 def load_session(session_dir: str | Path) -> Session:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import dataclasses
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ import io
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +18,12 @@ from hypothesis import strategies as st
 
 import scanskill
 from scanskill.cli import main
-from scanskill.features import GlcmConfig, SmoothnessConfig
-from scanskill.fusion import ResampleConfig
-from scanskill.ingest import Frame, PoseSample, write_session
+from scanskill.core import INT64_MAX
+from scanskill.features import GlcmConfig, SmoothnessConfig, compute_feature_table
+from scanskill.fusion import ResampleConfig, fuse_streams
+from scanskill.ingest import Frame, PoseSample, load_session, write_session
 from scanskill.skill import METRIC_ORDER
+from scanskill.synth import ProfileConfig, build_session
 
 from conftest import IDENTITY, constant_frame, make_session, run_python, smooth_pose_walk
 
@@ -228,6 +232,89 @@ class TestPipelineCommands:
         ]
 
 
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of ``path`` by the stdlib reader; every row has the header's width."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    return header, rows
+
+
+def _assert_fields(fields: list[str], values: list) -> None:
+    """Empty exactly where a value is None or NaN; ints equal, floats bit-exact."""
+    assert len(fields) == len(values)
+    for field, value in zip(fields, values):
+        if value is None or value != value:
+            assert field == ""
+        elif isinstance(value, float):
+            assert struct.pack("<d", float(field)) == struct.pack("<d", value), (field, value)
+        else:
+            assert field == str(value) and int(field) == value
+
+
+class TestWrittenCsvs:
+    """Each CSV the CLI writes reads back, by the stdlib ``csv`` module, to the library values."""
+
+    @pytest.fixture(scope="class")
+    def written(self, session_dir, tmp_path_factory):
+        # A grid step off the 10 ms pose period, so fused quaternions are interpolated.
+        out = tmp_path_factory.mktemp("written")
+        for command in ("fuse", "features", "export-plot"):
+            argv = [command, "--session", str(session_dir), "--out", str(out)]
+            assert main([*argv, "--delta-t-us", "7000"]) == 0
+        session = load_session(session_dir)
+        fused = fuse_streams(session, ResampleConfig(delta_t_us=7000))
+        return out, fused, compute_feature_table(session, fused, GlcmConfig())
+
+    def test_session_csvs(self, session_dir):
+        # session_dir is `synth --profile expert --seed 0 --frame-size 48x36`.
+        session = build_session(ProfileConfig("expert", 0, frame_width=48, frame_height=36))
+        header, rows = _read_csv(session_dir / "pose.csv")
+        assert header == ["t_us", "w", "x", "y", "z"] and len(rows) == len(session.poses)
+        for row, pose in zip(rows, session.poses):
+            _assert_fields(row, [pose.t_us, *pose.q.tolist()])
+        header, rows = _read_csv(session_dir / "frames" / "index.csv")
+        assert header == ["t_us", "file"]
+        assert rows == [[str(f.t_us), f"frames/{i:06d}.pgm"] for i, f in enumerate(session.frames)]
+
+    def test_fused_csv(self, written):
+        out, fused, _ = written
+        header, rows = _read_csv(out / "fused.csv")
+        assert header == ["t_us", "w", "x", "y", "z", "frame_idx", "staleness_us"]
+        assert len(rows) == len(fused)
+        for row, s in zip(rows, fused):
+            _assert_fields(row, [s.t_us, *s.q.tolist(), s.frame_idx, s.frame_staleness_us])
+
+    def test_features_csv(self, written):
+        out, _, table = written
+        header, rows = _read_csv(out / "features.csv")
+        columns = [
+            table.omega[:, "xyz".index(name[-1])] if name.startswith("omega_")
+            else getattr(table, name)
+            for name in header
+        ]
+        assert header[-4:] == ["omega_x", "omega_y", "omega_z", "speed"]
+        assert len(rows) == len(table)
+        for k, row in enumerate(rows):
+            _assert_fields(row, [column[k].item() for column in columns])
+        assert rows[0][7:] == ["", "", "", ""]
+
+    def test_plot_csv(self, written):
+        out, fused, table = written
+        header, rows = _read_csv(out / "plot.csv")
+        assert header == ["t_us", "series", "value"]
+        expected = []
+        for series in ("asm", "energy", "homogeneity", "hist_mean", "hist_var", "hist_entropy"):
+            values = getattr(table, series).tolist()
+            # rows with no value (NaN) are left out
+            expected += [(t, series, v) for t, v in zip(table.t_us.tolist(), values) if v == v]
+        for component, series in enumerate(("qw", "qx", "qy", "qz")):
+            expected += [(s.t_us, series, float(s.q[component])) for s in fused]
+        assert [row[1] for row in rows] == [series for _, series, _ in expected]
+        for row, (t, _, value) in zip(rows, expected):
+            _assert_fields([row[0], row[2]], [t, value])
+
+
 class TestExitCodes:
     def test_missing_session_is_pipeline_error(self, tmp_path, capsys):
         assert main(["fuse", "--session", str(tmp_path / "missing")]) == 3
@@ -273,6 +360,26 @@ class TestExitCodes:
             assert main([command, "--session", str(bad)]) == 3
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: malformed line 6: non-finite quaternion component"]
+
+    def test_huge_pgm_dimensions_is_pipeline_error(self, session_dir, tmp_path):
+        huge = tmp_path / "huge"
+        shutil.copytree(session_dir, huge)
+        for pgm in (huge / "frames").glob("*.pgm"):
+            pgm.write_bytes(b"P5\n1000000000000 1000000000000\n255\n")
+        code, err = _run(["report", "--session", str(huge)])
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: truncated raster in "), err
+
+    @pytest.mark.parametrize("command", ["validate", "fuse", "report"])
+    def test_t_us_beyond_int64_is_pipeline_error(self, session_dir, tmp_path, command):
+        late = tmp_path / "late"
+        shutil.copytree(session_dir, late)
+        lines = (late / "pose.csv").read_text().splitlines(keepends=True)
+        lines[2] = f"{10**19}," + lines[2].split(",", 1)[1]
+        (late / "pose.csv").write_text("".join(lines))
+        code, err = _run([command, "--session", str(late)])
+        assert code == 3
+        assert err == [f"error: malformed line 3: t_us {10**19} outside 0..{INT64_MAX}"]
 
     @pytest.mark.parametrize("x", ["8e-165", "2e-164", "5e-159"])
     def test_ldlj_out_of_float_range_is_null_with_flag(self, session_dir, tmp_path, x):
@@ -638,4 +745,32 @@ def test_readme_lists_config_keys_and_defaults():
     documented = {key: json.loads(default) for key, default in rows}
     assert documented == {
         f.name: json.loads(json.dumps(f.default)) for f in CONFIG_FIELDS
+    }
+
+
+def test_text_files_written_only_by_the_shared_writers():
+    # The output formats live in these writers; a new open(..., "w") elsewhere
+    # would be a second copy of one of them.
+    src = Path(scanskill.__file__).resolve().parent
+    writers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function (ast.walk visits outer ones first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            assert isinstance(mode, ast.Constant), f"{path.name}: open mode not a literal"
+            if set(mode.value) & set("wax+"):
+                writers.add((path.stem, owner.get(node, "<module>"), mode.value))
+    assert writers == {
+        ("ingest", "_write_csv", "w"),
+        ("ingest", "write_manifest", "w"),
+        ("ingest", "write_pgm", "wb"),
+        ("skill", "write_report", "w"),
     }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanskill.core import SessionMeta, q_normalize
+from scanskill.core import INT64_MAX, SessionMeta, q_normalize
 from scanskill.ingest import (
     FRAME_INDEX_HEADER,
     POSE_HEADER,
@@ -128,6 +128,17 @@ class TestPgm:
         with pytest.raises(ValueError, match="unsupported depth"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("data", [
+        b"P5\n2 2\n255\n\x00\x01\x02",
+        # 10**24 pixels: more than read() can be asked for, so checked before reading
+        b"P5\n1000000000000 1000000000000\n255\n",
+    ], ids=["one-byte-short", "huge-dimensions"])
+    def test_truncated_raster(self, tmp_path, data):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated raster in "):
+            read_pgm(path)
+
 
 def _write_index(tmp_path, entries):
     frames = tmp_path / "frames"
@@ -229,6 +240,10 @@ class TestSessionCsvGrammar:
         "repeated-t-us": ("{header}", ["0,{row}", "0,{row}"], "timestamp regression at line 3"),
         "blank-lines": ("{header}", ["", "0,{row}", "  ", "", "5,{row}", "5,{row}"],
                         "timestamp regression at line 7"),
+        "t-us-above-int64": ("{header}", ["0,{row}", f"{10**19},{{row}}"],
+                             f"malformed line 3: t_us {10**19} outside 0..{INT64_MAX}"),
+        "t-us-negative": ("{header}", ["-1,{row}"],
+                          f"malformed line 2: t_us -1 outside 0..{INT64_MAX}"),
     }
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -247,6 +262,12 @@ class TestSessionCsvGrammar:
         header, row, _, make_reader = self.FORMATS[fmt]
         read = make_reader(tmp_path, [header, "", f"0,{row}", " ", f"7,{row}", ""])
         assert [x.t_us for x in read()] == [0, 7]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_t_us_range_ends_accepted(self, tmp_path, fmt):
+        header, row, _, make_reader = self.FORMATS[fmt]
+        read = make_reader(tmp_path, [header, f"0,{row}", f"{INT64_MAX},{row}"])
+        assert [x.t_us for x in read()] == [0, INT64_MAX]
 
 
 class TestFrame:
