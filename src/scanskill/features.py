@@ -450,8 +450,12 @@ def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) ->
 
     Frame features are computed once per distinct pixel source
     (:attr:`Frame.source`, equal only for frames that read equal pixels) and
-    shared by every grid instant whose frame reads it; large sessions compute
-    them in a process pool, with identical results.
+    shared by every grid instant whose frame reads it.  The sources are
+    visited in frame order, and a run of sources whose pixels are equal,
+    byte for byte, to the one before is featurised once, so a still probe
+    costs one GLCM per run; every source is still decoded or rendered, and
+    each process holds at most two frames' pixels at a time.  Large
+    sessions compute the features in a process pool, with identical results.
     """
     n = len(fused)
     t_us = np.array([s.t_us for s in fused], dtype=np.int64)
@@ -503,7 +507,28 @@ def _pool_workers(frames: Sequence[Frame], indices: Sequence[int]) -> int:
     return min(len(os.sched_getaffinity(0)), len(indices))
 
 
-def _frame_row(frame: Frame, cfg: GlcmConfig) -> tuple[float, ...]:
+def _frame_rows(
+    frames: Sequence[Frame], indices: Sequence[int], cfg: GlcmConfig
+) -> list[tuple[float, ...]]:
+    """``_frame_row`` of each ``frames[i]``, in the order of ``indices``.
+
+    Every frame is decoded or rendered; one whose pixels equal the previous
+    one's reuses that row instead of calling :func:`frame_features` again.
+    At most two frames' pixels are held at a time, the current and the
+    previous one.
+    """
+    rows: list[tuple[float, ...]] = []
+    previous = None
+    for i in indices:
+        pixels = frames[i].pixels
+        if previous is None or not np.array_equal(pixels, previous):
+            row = _frame_row(pixels, cfg)
+        rows.append(row)
+        previous = pixels
+    return rows
+
+
+def _frame_row(pixels: np.ndarray, cfg: GlcmConfig) -> tuple[float, ...]:
     """The six ``FeatureTable`` frame columns, asm to hist_entropy, of one frame.
 
     Only these floats outlive the call.  Each frame's histogram bins and
@@ -511,32 +536,35 @@ def _frame_row(frame: Frame, cfg: GlcmConfig) -> tuple[float, ...]:
     per-frame array is left between the frame-sized blocks on the heap,
     where it would keep the allocator from reusing them.
     """
-    tex, hist = frame_features(frame, cfg)
+    tex, hist = frame_features(pixels, cfg)
     return (*tex, hist.mean, hist.variance, hist.entropy)
 
 
 def _distinct_frame_features(
     frames: Sequence[Frame], indices: Sequence[int], cfg: GlcmConfig
 ) -> list[tuple[float, ...]]:
-    """``_frame_row(frames[i], cfg)`` for each i in ``indices``, in order.
+    """``_frame_rows(frames, indices, cfg)``, serially or in a process pool.
 
     Large sessions are spread over a fork process pool, one worker per CPU
-    this process may run on.  The workers inherit ``frames`` and ``cfg``
-    through the fork and decode on-disk frames, or render synthetic ones,
-    themselves, so the caller never holds the session's pixels.  A worker that dies raises
+    this process may run on, each taking contiguous chunks of ``indices``
+    (a run of equal frames cut by a chunk boundary is featurised once per
+    chunk).  The workers inherit ``frames`` and ``cfg`` through the fork and
+    decode on-disk frames, or render synthetic ones, themselves, so the
+    caller never holds the session's pixels.  A worker that dies raises
     ``concurrent.futures.BrokenExecutor`` here.
     """
     workers = _pool_workers(frames, indices)
     if workers <= 1:
-        return [_frame_row(frames[i], cfg) for i in indices]
+        return _frame_rows(frames, indices, cfg)
     chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
+    chunks = [indices[k : k + chunksize] for k in range(0, len(indices), chunksize)]
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
         initargs=(frames, cfg),
     ) as pool:
-        return list(pool.map(_worker_frame_features, indices, chunksize=chunksize))
+        return [row for rows in pool.map(_worker_frame_rows, chunks) for row in rows]
 
 
 def _init_worker(frames: Sequence[Frame], cfg: GlcmConfig) -> None:
@@ -544,9 +572,9 @@ def _init_worker(frames: Sequence[Frame], cfg: GlcmConfig) -> None:
     _worker_job = (frames, cfg)
 
 
-def _worker_frame_features(i: int) -> tuple[float, ...]:
+def _worker_frame_rows(indices: Sequence[int]) -> list[tuple[float, ...]]:
     frames, cfg = _worker_job
-    return _frame_row(frames[i], cfg)
+    return _frame_rows(frames, indices, cfg)
 
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:

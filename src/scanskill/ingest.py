@@ -222,9 +222,6 @@ def read_pgm(path: str | Path) -> tuple[int, int, np.ndarray]:
     """Read a binary PGM (P5, maxval 255). Returns (width, height, pixels)."""
     with open(path, "rb") as fh:
         width, height = _read_pgm_header(fh, path)
-        # Checked before reading: a header may claim more than any buffer can hold.
-        if width * height > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ValueError(f"truncated raster in {path}")
         raster = fh.read(width * height)
     return width, height, np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
@@ -233,7 +230,8 @@ def _read_pgm_header(fh: IO[bytes], path) -> tuple[int, int]:
     """Parse a P5 header, leaving ``fh`` at the first raster byte.
 
     Returns (width, height).  The header is read byte by byte, so ``#``
-    comments of any length are accepted and the raster is never read.
+    comments of any length are accepted and the raster is never read.  A
+    file shorter than the raster the header claims raises ValueError.
     """
     fields: list[bytes] = []
     token = bytearray()
@@ -258,6 +256,9 @@ def _read_pgm_header(fh: IO[bytes], path) -> tuple[int, int]:
         raise ValueError(f"unsupported depth (maxval {maxval}) in {path}")
     if width <= 0 or height <= 0:
         raise ValueError(f"bad dimensions {width}x{height} in {path}")
+    # Checked before any read: a header may claim more than any buffer can hold.
+    if width * height > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"truncated raster in {path}")
     return width, height
 
 
@@ -273,8 +274,10 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
 def read_frame_index(session_dir: str | Path) -> list[Frame]:
     """Read ``frames/index.csv`` and validate every referenced PGM header.
 
-    Pixel data stays on disk (lazy).  Dimensions must be constant across
-    the session; a mid-session change raises ``"frame geometry changed"``.
+    Pixel data stays on disk (lazy); a file too short for the raster its
+    header claims raises ``"truncated raster in …"`` here.  Dimensions must
+    be constant across the session; a mid-session change raises
+    ``"frame geometry changed"``.
     """
     session_dir = Path(session_dir)
     index_path = session_dir / "frames" / "index.csv"

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +150,31 @@ def shared_source_session(kind: str, tmp_path: Path) -> Session:
     rows = [f"{row.split(',')[0]},{files[k - k % 2]}" for k, row in enumerate(rows)]
     index.write_text("\n".join([header, *rows]) + "\n")
     return load_session(tmp_path / "s")
+
+
+def repeated_frames_session(tmp_path: Path) -> Path:
+    """The directory of a small session on disk whose consecutive PGMs repeat.
+
+    As while a probe is held still, ``frames/index.csv`` holds runs of 1, 2,
+    3, 5 and 8 rows (cycling) whose PGMs are byte-identical copies of the
+    run's first one, each under its own file name.  The second frame of the
+    first 8-row run then differs from its neighbours in a single pixel.
+    """
+    profile = expert_profile(6, frame_width=48, frame_height=36, n_samples_range=(400, 500))
+    root = tmp_path / "s"
+    gen_session(profile, root)
+    rows = (root / "frames" / "index.csv").read_text().splitlines()[1:]
+    files = [root / row.split(",")[1] for row in rows]
+    start, lengths = 0, itertools.cycle((1, 2, 3, 5, 8))
+    while start < len(files):
+        length = next(lengths)
+        for copy in files[start + 1 : start + length]:
+            shutil.copyfile(files[start], copy)
+        start += length
+    odd = bytearray(files[12].read_bytes())
+    odd[-1] ^= 1
+    files[12].write_bytes(bytes(odd))
+    return root
 
 
 def assert_same_table(a, b) -> None:

@@ -370,6 +370,24 @@ class TestExitCodes:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: truncated raster in "), err
 
+    @pytest.mark.parametrize("command", ["validate", "fuse", "features", "report"])
+    @pytest.mark.parametrize("short", ["header-only", "huge-header-only", "one-byte-short"])
+    def test_short_raster_is_reader_error_at_load(self, session_dir, tmp_path, command, short):
+        bad = tmp_path / "short"
+        shutil.copytree(session_dir, bad)
+        pgm = bad / "frames" / "000007.pgm"
+        data = pgm.read_bytes()
+        pgm.write_bytes({
+            "header-only": data[: data.index(b"255\n") + 4],
+            "huge-header-only": b"P5\n1000000000000 1000000000000\n255\n",
+            "one-byte-short": data[:-1],
+        }[short])
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code, err = _run([command, "--session", str(bad), *out])
+        assert code == 3
+        assert err == [f"error: truncated raster in {pgm}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "fuse", "report"])
     def test_t_us_beyond_int64_is_pipeline_error(self, session_dir, tmp_path, command):
         late = tmp_path / "late"

@@ -12,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from scanskill import features
+from scanskill import features, ingest
 from scanskill.cli import main
 from scanskill.features import GlcmConfig, compute_feature_table, frame_features
 from scanskill.fusion import ResampleConfig, fuse_streams
@@ -24,6 +24,7 @@ from conftest import (
     SHARED_SOURCE_SESSIONS,
     assert_same_table,
     make_session,
+    repeated_frames_session,
     run_python,
     shared_source_session,
 )
@@ -154,15 +155,65 @@ def test_pooled_cli_outputs_byte_identical(session_dir, tmp_path, monkeypatch, f
 
 
 def test_truncated_frame_in_pool_is_pipeline_error(session_dir, tmp_path, monkeypatch, capsys):
+    # A short raster is caught when the session loads; a file truncated
+    # after that makes the worker decoding it raise, and the error reaches
+    # the caller and the CLI's exit code.
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
     broken = tmp_path / "broken"
     shutil.copytree(session_dir, broken)
     pgm = broken / "frames" / "000040.pgm"
-    pgm.write_bytes(pgm.read_bytes()[:-10])
+    data = pgm.read_bytes()
+
+    def load_then_truncate(path):
+        pgm.write_bytes(data)
+        session = load_session(path)
+        pgm.write_bytes(data[:-10])
+        return session
+
+    session = load_then_truncate(broken)
+    assert features._pool_workers(session.frames, range(len(session.frames))) > 1
+    with pytest.raises(ValueError, match="^truncated raster in .*000040.pgm$"):
+        compute_feature_table(session, fuse_streams(session, ResampleConfig()), GlcmConfig())
+    monkeypatch.setattr(ingest, "load_session", load_then_truncate)
     capsys.readouterr()
     assert main(["report", "--session", str(broken), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: truncated raster")
+
+
+def test_pooled_runs_of_equal_frames(tmp_path, monkeypatch):
+    root = repeated_frames_session(tmp_path)
+    for command in ("features", "report"):
+        assert main([command, "--session", str(root), "--out", str(tmp_path / "serial")]) == 0
+    session = load_session(root)
+    fused = fuse_streams(session, ResampleConfig())
+    serial = compute_feature_table(session, fused, GlcmConfig())
+    monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
+    workers = features._pool_workers(session.frames, used)
+    assert workers > 1
+    # The chunks each worker takes; a run cut by a chunk boundary restarts.
+    chunksize = max(1, len(used) // (workers * features._CHUNKS_PER_WORKER))
+    repeats = [np.array_equal(session.frames[i].pixels, session.frames[j].pixels)
+               for i, j in zip(used, used[1:])]
+    assert any(repeats[k - 1] for k in range(chunksize, len(used), chunksize))
+    runs = sum(k % chunksize == 0 or not repeats[k - 1] for k in range(len(used)))
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+    real = features.frame_features
+
+    def counted(px, cfg):
+        with calls.get_lock():
+            calls.value += 1
+        return real(px, cfg)
+
+    monkeypatch.setattr(features, "frame_features", counted)
+    assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
+    assert calls.value == runs
+    for command in ("features", "report"):
+        assert main([command, "--session", str(root), "--out", str(tmp_path / "pooled")]) == 0
+    for name in ("features.csv", "report.json"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (
+            tmp_path / "serial" / name).read_bytes()
 
 
 _DYING_WORKER = """

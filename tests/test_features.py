@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 
 from scanskill import features
@@ -24,14 +26,16 @@ from scanskill.features import (
     texture_features,
 )
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import PoseSample
+from scanskill.ingest import Frame, PoseSample, load_session
 
 from conftest import (
     IDENTITY,
     SHARED_SOURCE_SESSIONS,
     assert_same_table,
+    make_session,
     private_copies,
     random_unit_quat,
+    repeated_frames_session,
     shared_source_session,
     smooth_pose_walk,
 )
@@ -618,19 +622,27 @@ class TestFeatureTable:
     def test_frame_features_once_per_pixel_source(self, kind, tmp_path, monkeypatch):
         session = shared_source_session(kind, tmp_path)
         fused = fuse_streams(session, ResampleConfig())
-        used = {s.frame_idx for s in fused if s.frame_idx is not None}
-        sources = {session.frames[i].source for i in used}
-        assert len(sources) < len(used)
+        used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
+        first = {}
+        for i in used:
+            first.setdefault(session.frames[i].source, i)
+        assert len(first) < len(used)
+        # Sources are visited in frame order, and one whose pixels equal the
+        # previous source's reuses its row.
+        pixels = [session.frames[i].pixels for i in sorted(first.values())]
+        heads = [px for k, px in enumerate(pixels)
+                 if k == 0 or not np.array_equal(px, pixels[k - 1])]
         seen = []
         real = features.frame_features
 
-        def counted(frame, cfg):
-            seen.append(frame.source)
-            return real(frame, cfg)
+        def counted(px, cfg):
+            seen.append(px)
+            return real(px, cfg)
 
         monkeypatch.setattr(features, "frame_features", counted)
         compute_feature_table(session, fused, GlcmConfig())
-        assert sorted(seen) == sorted(sources)
+        assert len(seen) == len(heads)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, heads))
 
     @pytest.mark.parametrize("kind", SHARED_SOURCE_SESSIONS)
     def test_shared_sources_equal_private_copies(self, kind, tmp_path):
@@ -640,3 +652,55 @@ class TestFeatureTable:
         private = compute_feature_table(private_copies(session), fused, GlcmConfig())
         assert_same_table(shared, private)
         assert np.count_nonzero(~np.isnan(shared.asm)) > 300
+
+    def test_runs_of_equal_frames_featurised_once(self, tmp_path, monkeypatch):
+        session = load_session(repeated_frames_session(tmp_path))
+        fused = fuse_streams(session, ResampleConfig())
+        cfg = GlcmConfig()
+        used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
+        pixels = [session.frames[i].pixels for i in used]
+        runs = 1 + sum(not np.array_equal(a, b) for a, b in zip(pixels, pixels[1:]))
+        assert runs < len(used) // 2
+        calls = []
+        real = features.frame_features
+
+        def counted(px, cfg):
+            calls.append(px)
+            return real(px, cfg)
+
+        monkeypatch.setattr(features, "frame_features", counted)
+        table = compute_feature_table(session, fused, cfg)
+        assert len(calls) == runs
+        assert_same_table(table, compute_feature_table(private_copies(session), fused, cfg))
+        oracle = {i: real(session.frames[i], cfg) for i in used}
+        columns = ("asm", "energy", "homogeneity", "hist_mean", "hist_var", "hist_entropy")
+        for k, sample in enumerate(fused):
+            row = tuple(getattr(table, name)[k] for name in columns)
+            if sample.frame_idx is None:
+                assert all(map(math.isnan, row))
+            else:
+                tex, hist = oracle[sample.frame_idx]
+                assert row == (*tex, hist.mean, hist.variance, hist.entropy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_arrays=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 3), min_size=2, max_size=24),
+           odd_pixel=st.tuples(st.integers(0, 5), st.integers(0, 7)))
+    def test_reuse_never_changes_a_row(self, n_arrays, seed, picks, odd_pixel):
+        # Frames held in memory, each one of a few arrays: repeats are both
+        # adjacent and apart, and two arrays may hold equal pixels or differ
+        # in one.
+        rng = np.random.default_rng(seed)
+        pool = [rng.integers(0, 256, (6, 8), dtype=np.uint8) for _ in range(n_arrays)]
+        if n_arrays > 2:
+            pool[2] = pool[1].copy()
+            pool[2][odd_pixel] ^= 1
+        if n_arrays > 3:
+            pool[3] = pool[0].copy()
+        frames = [Frame(k * 40_000, 8, 6, pixels=pool[p % n_arrays])
+                  for k, p in enumerate(picks)]
+        poses = [PoseSample(k * 10_000, IDENTITY) for k in range(4 * len(frames) - 3)]
+        session = make_session(poses, frames)
+        fused = fuse_streams(session, ResampleConfig())
+        assert_same_table(compute_feature_table(session, fused, GlcmConfig()),
+                          compute_feature_table(private_copies(session), fused, GlcmConfig()))
