@@ -4,7 +4,8 @@
 Generates paired synthetic sessions for a range of seeds, builds skill
 reports, and prints a per-seed comparison plus batch summary.  With
 ``--outdir`` the sessions, reports, and plot-ready CSVs are also written so
-the series can be inspected with any plotting tool.
+the series can be inspected with any plotting tool; a session's report and
+``plot.csv`` come from its one feature table.
 
 Example:
     python scripts/run_expert_novice.py --seeds 0 1 2 --outdir runs/demo
@@ -14,11 +15,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from scanskill.cli import _parse_frame_size, main as cli_main
-from scanskill.features import GlcmConfig, SmoothnessConfig
-from scanskill.fusion import ResampleConfig
+from scanskill.cli import _parse_frame_size
+from scanskill.features import GlcmConfig, SmoothnessConfig, compute_feature_table, write_plot_csv
+from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.skill import (
-    build_report, calibrate_thresholds, classify, compare, report_document, write_report,
+    build_report, calibrate_thresholds, classify, compare, report_document, report_from_table,
+    write_report,
 )
 from scanskill.synth import build_session, expert_profile, gen_session, novice_profile
 
@@ -39,6 +41,7 @@ def main() -> int:
     width, height = args.frame_size
     geometry = dict(frame_width=width, frame_height=height)
     outdir = Path(args.outdir) if args.outdir else None
+    fuse_cfg, glcm_cfg, smoothness = ResampleConfig(), GlcmConfig(), SmoothnessConfig()
 
     print(f"calibrating thresholds on seeds {args.calibration_seeds[0]}..{args.calibration_seeds[1] - 1}")
     cal_range = range(*args.calibration_seeds)
@@ -61,16 +64,18 @@ def main() -> int:
                 session = gen_session(profile, sess_dir)
             else:
                 session = build_session(profile)
-            report = build_report(session)
+            fused = fuse_streams(session, fuse_cfg)
+            table = compute_feature_table(session, fused, glcm_cfg)
+            report = report_from_table(session.meta.session_id, fused, table, fuse_cfg, smoothness)
             label = classify(report, thresholds)
             rows.append((seed, profile.kind, report, label))
             print(f"{seed:>4}  {profile.kind:<7} {report.n_samples:>7} "
                   f"{report.duration_s:>7.1f} {report.path_length_rad:>8.2f} "
                   f"{report.sparc:>7.3f} {report.ldlj:>8.2f} {label:<13}")
             if outdir:
-                doc = report_document(report, ResampleConfig(), GlcmConfig(), SmoothnessConfig())
+                doc = report_document(report, fuse_cfg, glcm_cfg, smoothness)
                 write_report(sess_dir / "report.json", doc)
-                cli_main(["export-plot", "--session", str(sess_dir)])
+                write_plot_csv(sess_dir / "plot.csv", fused, table)
 
     print()
     correct = sum(1 for _, kind, _, label in rows if label == f"{kind}_like")

@@ -23,27 +23,13 @@ from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .skill import build_report, compare, report_document, report_from_document, write_report
+from .skill import compare, report_document, report_from_document, report_from_table, write_report
 
 # The pipeline modules (and with them numpy) are imported by the subcommands
 # that run them, so that `compare` starts in a fraction of the time.
 if TYPE_CHECKING:
     from .features import GlcmConfig, SmoothnessConfig
     from .fusion import ResampleConfig
-
-# Series emitted by export-plot, in output order.
-_PLOT_SERIES = (
-    "asm",
-    "energy",
-    "homogeneity",
-    "hist_mean",
-    "hist_var",
-    "hist_entropy",
-    "qw",
-    "qx",
-    "qy",
-    "qz",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,6 +193,19 @@ def _pipeline_configs(args) -> tuple[ResampleConfig, GlcmConfig, SmoothnessConfi
     )
 
 
+def _featurise(args) -> tuple:
+    """``(session, configs, fused, table)``: the load, configs, fuse and feature
+    table step that ``features``, ``report`` and ``export-plot`` share."""
+    from .features import compute_feature_table
+    from .fusion import fuse_streams
+    from .ingest import load_session
+
+    session = load_session(args.session)
+    configs = _pipeline_configs(args)
+    fused = fuse_streams(session, configs[0])
+    return session, configs, fused, compute_feature_table(session, fused, configs[1])
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(args.session)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,14 +256,9 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from .features import compute_feature_table, write_features_csv
-    from .fusion import fuse_streams
-    from .ingest import load_session
+    from .features import write_features_csv
 
-    session = load_session(args.session)
-    fuse_cfg, glcm_cfg, _ = _pipeline_configs(args)
-    fused = fuse_streams(session, fuse_cfg)
-    table = compute_feature_table(session, fused, glcm_cfg)
+    _, _, _, table = _featurise(args)
     path = _out_dir(args) / "features.csv"
     write_features_csv(path, table)
     print(f"wrote {path} ({len(table)} rows)", file=sys.stderr)
@@ -272,14 +266,10 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .ingest import load_session
-
-    session = load_session(args.session)
-    fuse_cfg, glcm_cfg, smoothness = _pipeline_configs(args)
-    report = build_report(session, fuse_cfg, glcm_cfg, smoothness)
-    doc = report_document(report, fuse_cfg, glcm_cfg, smoothness)
+    session, (fuse_cfg, glcm_cfg, smoothness), fused, table = _featurise(args)
+    report = report_from_table(session.meta.session_id, fused, table, fuse_cfg, smoothness)
     path = _out_dir(args) / "report.json"
-    write_report(path, doc)
+    write_report(path, report_document(report, fuse_cfg, glcm_cfg, smoothness))
     print(f"wrote {path}", file=sys.stderr)
     return 0
 
@@ -305,23 +295,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export_plot(args) -> int:
-    from .features import compute_feature_table
-    from .fusion import fuse_streams
-    from .ingest import _write_csv, load_session
+    from .features import write_plot_csv
 
-    session = load_session(args.session)
-    fuse_cfg, glcm_cfg, _ = _pipeline_configs(args)
-    fused = fuse_streams(session, fuse_cfg)
-    table = compute_feature_table(session, fused, glcm_cfg)
-    t_us = table.t_us.tolist()
-    q = {f"q{c}": [float(s.q[i]) for s in fused] for i, c in enumerate("wxyz")}
-    rows = (
-        (t, series, value)
-        for series in _PLOT_SERIES
-        for t, value in zip(t_us, q[series] if series in q else getattr(table, series).tolist())
-        if value == value  # NaN: no frame at this instant
-    )
+    _, _, fused, table = _featurise(args)
     path = _out_dir(args) / "plot.csv"
-    _write_csv(path, "t_us,series,value", rows)
+    write_plot_csv(path, fused, table)
     print(f"wrote {path}", file=sys.stderr)
     return 0

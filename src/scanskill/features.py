@@ -47,6 +47,7 @@ __all__ = [
     "sparc",
     "texture_features",
     "write_features_csv",
+    "write_plot_csv",
 ]
 
 FEATURES_HEADER = (
@@ -445,6 +446,10 @@ class FeatureTable:
         return len(self.t_us)
 
 
+# The per-frame columns of FeatureTable, asm to hist_entropy: NaN at an instant with no frame.
+FRAME_COLUMNS = tuple(f.name for f in fields(FeatureTable)[1:-2])
+
+
 def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) -> FeatureTable:
     """Texture + histogram per grid instant, motion per grid step.
 
@@ -466,8 +471,8 @@ def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) ->
     owner = [first.setdefault(session.frames[i].source, i) for i in distinct.tolist()]
     sources, source_of = np.unique(np.array(owner, np.int64), return_inverse=True)
     rows = _distinct_frame_features(session.frames, sources.tolist(), cfg)
-    per_source = np.array(rows).reshape(-1, 6)
-    frame_columns = np.full((6, n), np.nan)
+    per_source = np.array(rows).reshape(-1, len(FRAME_COLUMNS))
+    frame_columns = np.full((len(FRAME_COLUMNS), n), np.nan)
     frame_columns[:, has_frame] = per_source[source_of[inverse]].T
     omega, speed = np.full((n, 3), np.nan), np.full(n, np.nan)
     if n >= 2:
@@ -581,3 +586,18 @@ def write_features_csv(path: str | Path, table: FeatureTable) -> None:
     """Write the feature table as CSV; NaN (absent) values are empty fields."""
     values = np.column_stack([getattr(table, f.name) for f in fields(table)[1:]]).tolist()
     _write_csv(path, FEATURES_HEADER, ([t, *row] for t, row in zip(table.t_us.tolist(), values)))
+
+
+def write_plot_csv(path: str | Path, fused: Sequence, table: FeatureTable) -> None:
+    """Write ``plot.csv``: ``t_us,series,value`` rows of each ``FRAME_COLUMNS`` column of
+    ``table``, then of ``qw``..``qz`` of ``fused``, its grid; a NaN value has no row."""
+    series = {name: getattr(table, name) for name in FRAME_COLUMNS}
+    series.update(zip(("qw", "qx", "qy", "qz"), np.array([s.q for s in fused]).reshape(-1, 4).T))
+    t_us = table.t_us.tolist()
+    rows = (
+        (t, name, value)
+        for name, column in series.items()
+        for t, value in zip(t_us, column.tolist())
+        if value == value
+    )
+    _write_csv(path, "t_us,series,value", rows)

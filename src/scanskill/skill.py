@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    from .features import GlcmConfig, SmoothnessConfig
-    from .fusion import ResampleConfig
+    from .features import FeatureTable, GlcmConfig, SmoothnessConfig
+    from .fusion import FusedSample, ResampleConfig
     from .ingest import Session
 
 __all__ = [
@@ -30,21 +30,9 @@ __all__ = [
     "classify",
     "compare",
     "report_document",
+    "report_from_table",
     "write_report",
 ]
-
-# Fixed metric ordering for comparison/report output (stable for diffing).
-METRIC_ORDER = (
-    "n_samples",
-    "duration_s",
-    "path_length_rad",
-    "ldlj",
-    "sparc",
-    "mean_asm",
-    "mean_energy",
-    "mean_homogeneity",
-    "texture_stability",
-)
 
 
 @dataclass(frozen=True)
@@ -61,6 +49,12 @@ class SkillReport:
     mean_homogeneity: float | None
     texture_stability: float | None  # std dev of homogeneity over time
     flags: tuple[str, ...] = ()
+
+
+# The report's metrics in field order, the order of comparison and report output.
+METRIC_ORDER = tuple(
+    f.name for f in fields(SkillReport) if f.name not in ("session_id", "delta_t_us", "flags")
+)
 
 
 @dataclass(frozen=True)
@@ -84,32 +78,36 @@ def build_report(
     glcm_cfg: GlcmConfig | None = None,
     smoothness: SmoothnessConfig | None = None,
 ) -> SkillReport:
-    """Run fuse -> features -> metrics for one session.
-
-    Deterministic: identical session content and configs give identical
-    report fields.  Smoothness metrics that cannot be computed (e.g. a
-    motionless session) become None plus a flag instead of an error.
-    """
+    """Fuse, featurise and reduce one session: ``fuse_streams``, then
+    ``compute_feature_table``, then :func:`report_from_table`.  Deterministic:
+    identical session content and configs give identical report fields."""
     # Imported here so that reading and comparing reports needs no numpy.
-    import numpy as np
-
-    from .features import (
-        GlcmConfig,
-        SmoothnessConfig,
-        compute_feature_table,
-        log_dimensionless_jerk,
-        path_length,
-        smooth_speed,
-        sparc,
-    )
+    from .features import GlcmConfig, SmoothnessConfig, compute_feature_table
     from .fusion import ResampleConfig, fuse_streams
 
     fuse_cfg = fuse_cfg or ResampleConfig()
-    glcm_cfg = glcm_cfg or GlcmConfig()
-    smoothness = smoothness or SmoothnessConfig()
-
     fused = fuse_streams(session, fuse_cfg)
-    table = compute_feature_table(session, fused, glcm_cfg)
+    table = compute_feature_table(session, fused, glcm_cfg or GlcmConfig())
+    smoothness = smoothness or SmoothnessConfig()
+    return report_from_table(session.meta.session_id, fused, table, fuse_cfg, smoothness)
+
+
+def report_from_table(
+    session_id: str,
+    fused: Sequence[FusedSample],
+    table: FeatureTable,
+    fuse_cfg: ResampleConfig,
+    smoothness: SmoothnessConfig,
+) -> SkillReport:
+    """Reduce a session's ``fuse_streams(session, fuse_cfg)`` and its feature table to a report.
+
+    Smoothness metrics that cannot be computed (e.g. a motionless session)
+    become None plus a flag instead of an error.
+    """
+    import numpy as np
+
+    from .features import log_dimensionless_jerk, path_length, smooth_speed, sparc
+
     n = len(fused)
     duration_s = (n - 1) * fuse_cfg.delta_t_us / 1e6
     path = path_length(fused) if n >= 2 else 0.0
@@ -119,12 +117,8 @@ def build_report(
     if n >= 2:
         speed = smooth_speed(table.speed[1:], smoothness.speed_smoothing_window)
         try:
-            sparc_val = sparc(
-                speed,
-                1e6 / fuse_cfg.delta_t_us,
-                smoothness.sparc_cutoff_hz,
-                smoothness.sparc_amplitude_threshold,
-            )
+            sparc_val = sparc(speed, 1e6 / fuse_cfg.delta_t_us, smoothness.sparc_cutoff_hz,
+                              smoothness.sparc_amplitude_threshold)
         except ValueError as exc:
             flags.append(f"sparc: {exc}")
         try:
@@ -145,7 +139,7 @@ def build_report(
         flags.append("no frames within staleness window")
 
     return SkillReport(
-        session_id=session.meta.session_id,
+        session_id=session_id,
         n_samples=n,
         duration_s=duration_s,
         delta_t_us=fuse_cfg.delta_t_us,
@@ -249,13 +243,13 @@ def report_document(
     smoothness: SmoothnessConfig,
 ) -> dict:
     """JSON-ready report with the producing configuration echoed in."""
-    doc = {"session_id": report.session_id}
-    for metric in METRIC_ORDER:
-        doc[metric] = getattr(report, metric)
-    doc["flags"] = list(report.flags)
-    doc["config"] = {**_config_echo(fuse_cfg), "glcm": _config_echo(glcm_cfg),
-                     **_config_echo(smoothness)}
-    return doc
+    return {
+        "session_id": report.session_id,
+        **{metric: getattr(report, metric) for metric in METRIC_ORDER},
+        "flags": list(report.flags),
+        "config": {**_config_echo(fuse_cfg), "glcm": _config_echo(glcm_cfg),
+                   **_config_echo(smoothness)},
+    }
 
 
 def write_report(path, doc: dict) -> None:
