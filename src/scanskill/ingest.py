@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable
@@ -185,10 +186,11 @@ def _write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
 def read_pose_csv(path: str | Path) -> list[PoseSample]:
     """Parse a ``pose.csv`` file into ordered pose samples.
 
-    Quaternions are normalized on read (sensor quantization tolerated).
-    Raises ValueError with a 1-based line number on malformed lines
-    (including non-finite quaternion components) and on timestamp
-    regressions; an empty file raises ``"no samples"``.
+    Quaternions are normalized on read (sensor quantization tolerated), and
+    every finite row but all zeros keeps its direction.  Raises ValueError
+    with a 1-based line number on malformed lines (including non-finite
+    quaternion components) and on timestamp regressions; an empty file
+    raises ``"no samples"``.
     """
     times: list[int] = []
     quats: list[list[float]] = []
@@ -197,13 +199,17 @@ def read_pose_csv(path: str | Path) -> list[PoseSample]:
             comps = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"malformed line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, comps)):
-            raise ValueError(f"malformed line {lineno}: non-finite quaternion component")
         w, x, y, z = comps
-        # All rows are normalized at once below; checking here keeps errors in
-        # file order.  A zero sum of squares is what q_normalize rejects.
-        if w * w + x * x + y * y + z * z == 0.0:
-            raise ValueError(f"line {lineno}: degenerate quaternion")
+        # Checked row by row to keep errors in file order.  A finite row whose sum
+        # of squares is not a finite normal float is first scaled by its largest
+        # |component|, as math.hypot does, so that normalizing keeps its direction.
+        if not sys.float_info.min <= w * w + x * x + y * y + z * z < math.inf:
+            if not all(map(math.isfinite, comps)):
+                raise ValueError(f"malformed line {lineno}: non-finite quaternion component")
+            if not any(comps):
+                raise ValueError(f"line {lineno}: degenerate quaternion")
+            scale = max(map(abs, comps))
+            comps = [c / scale for c in comps]
         times.append(t)
         quats.append(comps)
     if not times:

@@ -361,6 +361,21 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: malformed line 6: non-finite quaternion component"]
 
+    @pytest.mark.parametrize(
+        "row", ["1e154,1e154,0,0", "1e308,0,0,0", "3e-162,1e-162,0,0", "1e-170,0,1e-170,0"]
+    )
+    def test_extreme_pose_components_load_quietly(self, session_dir, tmp_path, row):
+        # Their squares overflow or leave the normal floats; numpy once warned,
+        # zeroed the row and failed with a degenerate quaternion.
+        extreme = tmp_path / "extreme"
+        shutil.copytree(session_dir, extreme)
+        lines = (extreme / "pose.csv").read_text().splitlines(keepends=True)
+        lines[500] = f"{lines[500].split(',')[0]},{row}\n"
+        (extreme / "pose.csv").write_text("".join(lines))
+        assert _run(["validate", "--session", str(extreme)]) == (0, [])
+        code, err = _run(["report", "--session", str(extreme)])
+        assert (code, err) == (0, [f"wrote {extreme / 'report.json'}"])
+
     def test_huge_pgm_dimensions_is_pipeline_error(self, session_dir, tmp_path):
         huge = tmp_path / "huge"
         shutil.copytree(session_dir, huge)
@@ -568,6 +583,23 @@ class TestEntryPoints:
         spec.loader.exec_module(module)
         assert module.parse_args(["--frame-size", "320x240"]).frame_size == (320, 240)
         assert module.parse_args([]).frame_size == (320, 240)
+
+    def test_experiment_script_outdir_matches_the_cli(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_expert_novice.py"
+        argv = [str(script), "--seeds", "0", "--calibration-seeds", "100", "101",
+                "--frame-size", "64x48"]
+        plain = run_python(*argv)
+        written = run_python(*argv, "--outdir", str(tmp_path / "runs"))
+        assert plain.returncode == written.returncode == 0, plain.stderr + written.stderr
+        assert written.stdout == plain.stdout
+        sessions = sorted((tmp_path / "runs").iterdir())
+        assert [s.name for s in sessions] == ["expert-0000", "novice-0000"]
+        for session in sessions:
+            out = tmp_path / "cli" / session.name
+            for command in ("report", "export-plot"):
+                assert _run([command, "--session", str(session), "--out", str(out)])[0] == 0
+            for name in ("report.json", "plot.csv"):
+                assert (session / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_package_names_resolve(self):
         for name, module in PACKAGE_EXPORTS.items():

@@ -73,6 +73,37 @@ class TestPoseCsv:
         with pytest.raises(ValueError, match="^malformed line 3"):
             read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,1,0,0,0\n1,1,0,0\n2,0,0,0,0\n"))
 
+    @pytest.mark.parametrize(
+        "row, direction",
+        [
+            ("1e154,1e154,0,0", (1, 1, 0, 0)),  # sum of squares overflows
+            ("0,-1e308,0,1e308", (0, -1, 0, 1)),
+            ("3e-162,1e-162,0,0", (3, 1, 0, 0)),  # sum of squares is subnormal
+            ("0,0,1e-170,0", (0, 0, 1, 0)),  # sum of squares underflows to 0
+        ],
+    )
+    def test_extreme_components_keep_direction(self, tmp_path, row, direction):
+        samples = read_pose_csv(_pose_csv(tmp_path, f"t_us,w,x,y,z\n0,1,0,0,0\n1,{row}\n"))
+        expected = np.array(direction) / np.linalg.norm(direction)
+        np.testing.assert_allclose(samples[1].q, expected, rtol=0, atol=4e-16)
+        assert abs(np.sum(samples[1].q ** 2) - 1.0) <= 4e-16
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+    def test_any_finite_row_loads_as_unit_in_its_direction(self, tmp_path_factory, comps):
+        row = ",".join(map(repr, comps))
+        path = _pose_csv(tmp_path_factory.mktemp("pose"), f"t_us,w,x,y,z\n0,{row}\n")
+        if not any(comps):
+            with pytest.raises(ValueError, match="^line 2: degenerate quaternion"):
+                read_pose_csv(path)
+            return
+        q = read_pose_csv(path)[0].q
+        scaled = np.array(comps) / max(map(abs, comps))
+        np.testing.assert_allclose(q, scaled / np.linalg.norm(scaled), rtol=0, atol=4e-16)
+        if 2.2250738585072014e-308 <= sum(c * c for c in comps) < float("inf"):
+            # A row the reader accepted before the rescaling keeps its bits.
+            assert q.tobytes() == q_normalize(np.array(comps)).tobytes()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_component_line(self, tmp_path, bad):
         with pytest.raises(ValueError, match="malformed line 3: non-finite"):
