@@ -243,13 +243,13 @@ def report_document(
     smoothness: SmoothnessConfig,
 ) -> dict:
     """JSON-ready report with the producing configuration echoed in."""
-    return {
-        "session_id": report.session_id,
-        **{metric: getattr(report, metric) for metric in METRIC_ORDER},
-        "flags": list(report.flags),
-        "config": {**_config_echo(fuse_cfg), "glcm": _config_echo(glcm_cfg),
-                   **_config_echo(smoothness)},
-    }
+    doc = {"session_id": report.session_id}
+    for metric in METRIC_ORDER:
+        doc[metric] = getattr(report, metric)
+    doc["flags"] = list(report.flags)
+    doc["config"] = {**_config_echo(fuse_cfg), "glcm": _config_echo(glcm_cfg),
+                     **_config_echo(smoothness)}
+    return doc
 
 
 def write_report(path, doc: dict) -> None:

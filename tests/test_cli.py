@@ -365,8 +365,8 @@ class TestExitCodes:
         "row", ["1e154,1e154,0,0", "1e308,0,0,0", "3e-162,1e-162,0,0", "1e-170,0,1e-170,0"]
     )
     def test_extreme_pose_components_load_quietly(self, session_dir, tmp_path, row):
-        # Their squares overflow or leave the normal floats; numpy once warned,
-        # zeroed the row and failed with a degenerate quaternion.
+        # Each row's sum of squares overflows or is not a normal float; it must
+        # load without a numpy warning and keep its direction.
         extreme = tmp_path / "extreme"
         shutil.copytree(session_dir, extreme)
         lines = (extreme / "pose.csv").read_text().splitlines(keepends=True)
