@@ -13,6 +13,7 @@ the angular-speed profile (spectral arc length and log dimensionless jerk).
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -49,11 +50,6 @@ __all__ = [
     "write_features_csv",
     "write_plot_csv",
 ]
-
-FEATURES_HEADER = (
-    "t_us,asm,energy,homogeneity,hist_mean,hist_var,hist_entropy,"
-    "omega_x,omega_y,omega_z,speed"
-)
 
 ALLOWED_LEVELS = (8, 16, 32, 64)
 DEFAULT_OFFSETS = ((1, 0), (0, 1), (1, 1), (-1, 1))
@@ -223,12 +219,13 @@ def glcm(
     return _normalize(glcm_counts(img, levels, offset), symmetric)
 
 
+# Bounded, as texture_features takes a matrix of any size; the allowed levels fit.
+@functools.lru_cache(maxsize=len(ALLOWED_LEVELS))
 def _homogeneity_weights(levels: int) -> np.ndarray:
     idx = np.arange(levels)
-    return 1.0 / (1.0 + (idx[:, None] - idx[None, :]) ** 2)
-
-
-_WEIGHT_CACHE: dict[int, np.ndarray] = {L: _homogeneity_weights(L) for L in ALLOWED_LEVELS}
+    weights = 1.0 / (1.0 + (idx[:, None] - idx[None, :]) ** 2)
+    weights.flags.writeable = False  # one array for every caller
+    return weights
 
 
 def texture_features(P: np.ndarray) -> TextureFeatures:
@@ -240,10 +237,7 @@ def texture_features(P: np.ndarray) -> TextureFeatures:
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"unnormalized co-occurrence matrix (sum {total})")
     asm = float(np.sum(P * P))
-    weights = _WEIGHT_CACHE.get(P.shape[0])
-    if weights is None:
-        weights = _homogeneity_weights(P.shape[0])
-    homogeneity = float(np.sum(P * weights))
+    homogeneity = float(np.sum(P * _homogeneity_weights(P.shape[0])))
     return TextureFeatures(asm=asm, energy=math.sqrt(asm), homogeneity=homogeneity)
 
 
@@ -448,6 +442,10 @@ class FeatureTable:
 
 # The per-frame columns of FeatureTable, asm to hist_entropy: NaN at an instant with no frame.
 FRAME_COLUMNS = tuple(f.name for f in fields(FeatureTable)[1:-2])
+# The features.csv header: FeatureTable's fields, omega as one column per axis.
+FEATURES_HEADER = ",".join(
+    "omega_x,omega_y,omega_z" if f.name == "omega" else f.name for f in fields(FeatureTable)
+)
 
 
 def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) -> FeatureTable:

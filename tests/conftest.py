@@ -115,7 +115,7 @@ def fuse_poses(poses: list[PoseSample], cfg):
     """
     from scanskill.fusion import fuse_streams
 
-    frames = [constant_frame(poses[0].t_us), constant_frame(poses[-1].t_us)]
+    frames = [constant_frame(t) for t in sorted({poses[0].t_us, poses[-1].t_us})]
     return fuse_streams(make_session(poses, frames), cfg)
 
 

@@ -626,6 +626,17 @@ class TestEntryPoints:
         assert ("scanskill.cli", "_parse_frame_size") in imported
         assert ("scanskill.synth", "build_session") in imported
 
+    def test_benchmark_traced_selftest_passes(self):
+        # The traced replay builds Session(...) from the readers' output and runs
+        # validate_session, StreamingFuser and build_report, so a change to the
+        # package that the benchmark's replay cannot run fails here.
+        run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+        proc = run_python(str(run), "--workload", "report-640", "--seed", "1", "--seconds", "1",
+                          "--selftest", "--trace", "1")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, result
+
 
 def _run(argv: list[str]) -> tuple[int, list[str]]:
     """``main(argv)`` in-process: its exit code and its stderr lines."""
@@ -713,6 +724,47 @@ def _corrupt(session: Path, manifest_edit, byte_edits) -> None:
         raw = path.read_bytes()
         at = int(where * (13 if name.endswith(".pgm") else len(raw)))
         path.write_bytes(raw[:at] if data is None else raw[:at] + data + raw[at + len(data):])
+
+
+# Values at the edges of float and int64 range, each set into one field of an
+# on-disk session: all four components of one pose row, the last pose t_us,
+# one manifest rate, or the trial number.
+NUMERIC_EXTREMES = [
+    *(pytest.param("pose_row", x, id=f"pose-row-{x}")
+      for x in ("1e154", "1e-154", "1e308", "-1e308", "1.7976931348623157e308", "5e-324")),
+    *(pytest.param("last_t_us", t, id=f"last-t_us-{t}") for t in (2**63 - 1, 2**63, 2**63 + 1, -1)),
+    *(pytest.param(key, rate, id=f"{key}-{rate}") for key in ("pose_rate_hz", "frame_rate_hz")
+      for rate in (5e-324, 1e-308, 1e308, 2**63, 10**25)),
+    pytest.param("trial", 2**63, id="trial-2**63"),
+]
+
+
+class TestNumericExtremes:
+    @pytest.fixture(scope="class")
+    def small_session(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("extremes")
+        return _write_random_session(root / "s", 2, 50, 10_000, 40_000)
+
+    @pytest.mark.parametrize("field, value", NUMERIC_EXTREMES)
+    def test_exits_cleanly(self, small_session, tmp_path, field, value):
+        session = tmp_path / "s"
+        shutil.copytree(small_session, session)
+        pose_csv, manifest = session / "pose.csv", session / "manifest.json"
+        lines = pose_csv.read_text().splitlines()
+        if field == "pose_row":
+            lines[5] = ",".join([lines[5].split(",")[0], *[value] * 4])
+        elif field == "last_t_us":
+            lines[-1] = f"{value}," + lines[-1].split(",", 1)[1]
+        else:
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), field: value}))
+        pose_csv.write_text("\n".join(lines) + "\n")
+        for command in ("validate", "fuse", "report"):
+            out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, err = _run([command, "--session", str(session), *out])
+            assert code in (0, 1, 3), (command, code, err)
+            assert not any("Traceback" in line for line in err)
+            assert sum(line.startswith("error:") for line in err) == (code == 3), (command, err)
 
 
 class TestProperties:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -23,7 +24,15 @@ from scanskill.ingest import (
     write_session,
 )
 
-from conftest import IDENTITY, constant_frame, make_session, peak_rss_kib, smooth_pose_walk
+from conftest import (
+    IDENTITY,
+    constant_frame,
+    make_session,
+    peak_rss_kib,
+    random_stream_times,
+    random_unit_quat,
+    smooth_pose_walk,
+)
 
 
 def _pose_csv(directory, text):
@@ -401,26 +410,100 @@ class TestValidation:
         report = validate_session(make_session(poses, []))
         assert any(f.message == "empty stream: frames" for f in report.findings)
 
-    def test_non_unit_quaternion_finding(self):
-        poses = [
-            PoseSample(0, IDENTITY.copy()),
-            PoseSample(10_000, np.array([1.01, 0, 0, 0])),
-        ]
-        frames = [constant_frame(0), constant_frame(10_000)]
-        report = validate_session(make_session(poses, frames))
-        assert any(f.kind == "non_unit_quaternion" for f in report.findings)
-
     def test_span_mismatch_finding(self):
         poses = [PoseSample(t, IDENTITY.copy()) for t in range(0, 100_000, 10_000)]
         frames = [constant_frame(0), constant_frame(40_000)]
         report = validate_session(make_session(poses, frames))
         assert any(f.kind == "span_mismatch" for f in report.findings)
 
-    def test_timestamp_regression_finding(self):
-        poses = [PoseSample(0, IDENTITY.copy()), PoseSample(10_000, IDENTITY.copy())]
-        frames = [constant_frame(40_000), constant_frame(20_000), constant_frame(60_000)]
-        report = validate_session(make_session(poses, frames))
-        assert any(f.kind == "timestamp_regression" for f in report.findings)
+
+def _identity_poses(times):
+    return [PoseSample(t, IDENTITY.copy()) for t in times]
+
+
+class TestSessionInvariants:
+    """``Session(...)`` holds what fusion and every metric assume of its streams."""
+
+    # fuse_streams used to fuse the last three without an error, to 11, 4 and 5 samples.
+    @pytest.mark.parametrize("pose_t, frame_t, message", [
+        pytest.param((0, 10_000), (40_000, 20_000, 60_000),
+                     "frame stream: t_us 20000 at index 1 does not advance past 40000",
+                     id="frame-regression"),
+        pytest.param((0, 10_000, 20_000, 15_000, *range(30_000, 110_000, 10_000)),
+                     (0, 40_000, 80_000),
+                     "pose stream: t_us 15000 at index 3 does not advance past 20000",
+                     id="pose-regression"),
+        pytest.param((0, 10_000, 10_000, 20_000, 30_000), (0, 40_000),
+                     "pose stream: t_us 10000 at index 2 does not advance past 10000",
+                     id="pose-duplicate"),
+        pytest.param((0, 10_000, 20_000, 30_000, 40_000), (0, 40_000, 40_000),
+                     "frame stream: t_us 40000 at index 2 does not advance past 40000",
+                     id="frame-duplicate"),
+    ])
+    def test_timestamp_regression_raises(self, pose_t, frame_t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_session(_identity_poses(pose_t), [constant_frame(t) for t in frame_t])
+
+    # With pose_policy "nearest", fuse_streams used to copy the norm-2 pose into its grid.
+    @pytest.mark.parametrize("index, q, message", [
+        pytest.param(1, [1.01, 0, 0, 0], r"pose 1 has norm 1\.010000 \(deviation > 0\.001\)",
+                     id="norm-1.01"),
+        pytest.param(4, [2.0, 0, 0, 0], r"pose 4 has norm 2\.000000 \(deviation > 0\.001\)",
+                     id="norm-2"),
+        pytest.param(2, [np.nan, 0, 0, 0], r"pose 2 has norm nan \(deviation > 0\.001\)",
+                     id="norm-nan"),
+        pytest.param(3, [1e200, 1e200, 0, 0],
+                     r"pose 3 has norm 1414[0-9]{197}\.000000 \(deviation > 0\.001\)",
+                     id="norm-1.4e200"),
+    ])
+    def test_non_unit_quaternion_raises(self, index, q, message):
+        poses = _identity_poses(range(0, 50_000, 10_000))
+        poses[index] = PoseSample(poses[index].t_us, np.array(q))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_session(poses, [constant_frame(0), constant_frame(40_000)])
+
+    @staticmethod
+    def _streams(seed, n_poses, n_frames):
+        rng = np.random.default_rng(seed)
+        poses = [PoseSample(t, random_unit_quat(rng))
+                 for t in random_stream_times(rng, n_poses, 0, 10_000)]
+        return poses, [constant_frame(t) for t in random_stream_times(rng, n_frames, 0, 40_000)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(1, 30),
+           n_frames=st.integers(1, 10), scale=st.floats(1 - 0.999e-3, 1 + 0.999e-3))
+    def test_increasing_unit_streams_construct(self, seed, n_poses, n_frames, scale):
+        poses, frames = self._streams(seed, n_poses, n_frames)
+        poses[-1] = PoseSample(poses[-1].t_us, poses[-1].q * scale)
+        session = make_session(poses, frames)
+        assert session.poses is poses and session.frames is frames
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.poses = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(2, 30),
+           n_frames=st.integers(2, 10), stream=st.sampled_from(["pose", "frame"]),
+           back=st.integers(0, 10**6), data=st.data())
+    def test_non_increasing_step_raises(self, seed, n_poses, n_frames, stream, back, data):
+        poses, frames = self._streams(seed, n_poses, n_frames)
+        items = poses if stream == "pose" else frames
+        i = data.draw(st.integers(1, len(items) - 1))
+        prev, t = items[i - 1].t_us, items[i - 1].t_us - back
+        items[i] = PoseSample(t, poses[i].q) if stream == "pose" else constant_frame(t)
+        message = f"{stream} stream: t_us {t} at index {i} does not advance past {prev}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_session(poses, frames)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(1, 30), n_frames=st.integers(1, 10),
+           scale=st.floats(0.0, 1 - 1.001e-3) | st.floats(1 + 1.001e-3, 1e300), data=st.data())
+    def test_norm_off_by_more_than_tolerance_raises(self, seed, n_poses, n_frames, scale, data):
+        poses, frames = self._streams(seed, n_poses, n_frames)
+        j = data.draw(st.integers(0, n_poses - 1))
+        poses[j] = PoseSample(poses[j].t_us, poses[j].q * scale)
+        message = rf"^pose {j} has norm [0-9.]+ \(deviation > 0\.001\)$"
+        with pytest.raises(ValueError, match=message):
+            make_session(poses, frames)
 
 
 class TestSessionRoundTrip:
