@@ -40,6 +40,7 @@ __all__ = [
     "validate_session",
     "write_manifest",
     "write_pgm",
+    "write_pose_csv",
     "write_session",
 ]
 
@@ -281,6 +282,10 @@ def _read_pgm_header(fh: IO[bytes], path) -> tuple[int, int]:
             raise ValueError(f"truncated PGM header in {path}")
         elif c == b"#":
             fh.readline()  # comment runs to the end of the line
+    for f in fields[1:]:
+        # ASCII digits only: int() also takes "+255" and "1_0", and its errors name no file.
+        if not (f.isdigit() and len(f) <= 19):
+            raise ValueError(f"bad PGM header field {f[:20]!r} in {path}")
     width, height, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
         raise ValueError(f"unsupported depth (maxval {maxval}) in {path}")

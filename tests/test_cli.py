@@ -32,39 +32,6 @@ SYNTH_ARGS = ["--frame-size", "48x36"]
 CONFIG_CLASSES = (ResampleConfig, GlcmConfig, SmoothnessConfig)
 CONFIG_FIELDS = [f for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)]
 
-# Every name the package re-exports, with the module that defines it.
-PACKAGE_EXPORTS = {
-    **dict.fromkeys(
-        ["SessionMeta", "q_geodesic_angle", "q_inverse", "q_multiply", "q_normalize"],
-        "scanskill.core",
-    ),
-    **dict.fromkeys(
-        ["FeatureTable", "GlcmConfig", "HistogramStats", "MotionSeries", "SmoothnessConfig",
-         "TextureFeatures", "angular_velocity", "compute_feature_table", "frame_features",
-         "glcm", "log_dimensionless_jerk", "path_length", "sparc", "texture_features"],
-        "scanskill.features",
-    ),
-    **dict.fromkeys(
-        ["FusedSample", "ResampleConfig", "StreamingFuser", "fuse_streams", "hemisphere_align",
-         "slerp"],
-        "scanskill.fusion",
-    ),
-    **dict.fromkeys(
-        ["Frame", "PoseSample", "Session", "load_session", "read_pose_csv", "validate_session",
-         "write_session"],
-        "scanskill.ingest",
-    ),
-    **dict.fromkeys(
-        ["ClassifierThresholds", "SkillReport", "build_report", "calibrate_thresholds",
-         "classify", "compare"],
-        "scanskill.skill",
-    ),
-    **dict.fromkeys(
-        ["ProfileConfig", "build_session", "expert_profile", "gen_session", "novice_profile"],
-        "scanskill.synth",
-    ),
-}
-
 
 @pytest.fixture(scope="module")
 def session_dir(tmp_path_factory):
@@ -601,18 +568,25 @@ class TestEntryPoints:
             for name in ("report.json", "plot.csv"):
                 assert (session / name).read_bytes() == (out / name).read_bytes(), name
 
-    def test_package_names_resolve(self):
-        for name, module in PACKAGE_EXPORTS.items():
-            assert getattr(scanskill, name) is getattr(importlib.import_module(module), name)
-        assert sorted(scanskill.__all__) == sorted(PACKAGE_EXPORTS)
+    def test_bare_import_loads_no_submodule(self):
+        code = (
+            "import sys, scanskill\n"
+            "print(scanskill.__version__)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scanskill.')"
+            " or m.split('.')[0] in ('numpy', 'scipy')))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0.1.0", "[]"]
 
     def test_benchmark_and_script_imports_resolve(self):
-        # The benchmark and the experiment script import from the package,
-        # private names included; a name dropped from the package would fail
-        # their set-up, so it fails here.
+        # The benchmark and the scripts import from the modules that define
+        # each name, private names included; a name dropped from a module
+        # would fail their set-up, so it fails here.
         root = Path(__file__).resolve().parent.parent
         imported = set()
-        for script in ("perfbench/inproc.py", "scripts/run_expert_novice.py"):
+        for script in ("perfbench/inproc.py", "scripts/run_expert_novice.py",
+                       "scripts/regen_golden.py"):
             for node in ast.walk(ast.parse((root / script).read_text(), script)):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
@@ -625,6 +599,7 @@ class TestEntryPoints:
                         imported.add((node.module, alias.name))
         assert ("scanskill.cli", "_parse_frame_size") in imported
         assert ("scanskill.synth", "build_session") in imported
+        assert ("scanskill.cli", "main") in imported
 
     def test_benchmark_traced_selftest_passes(self):
         # The traced replay builds Session(...) from the readers' output and runs
@@ -727,8 +702,9 @@ def _corrupt(session: Path, manifest_edit, byte_edits) -> None:
 
 
 # Values at the edges of float and int64 range, each set into one field of an
-# on-disk session: all four components of one pose row, the last pose t_us,
-# one manifest rate, or the trial number.
+# on-disk session or its config: all four components of one pose row, the last
+# pose t_us, one manifest rate, the trial number, the width or maxval in the
+# first frame's PGM header, or one --config key.
 NUMERIC_EXTREMES = [
     *(pytest.param("pose_row", x, id=f"pose-row-{x}")
       for x in ("1e154", "1e-154", "1e308", "-1e308", "1.7976931348623157e308", "5e-324")),
@@ -736,6 +712,20 @@ NUMERIC_EXTREMES = [
     *(pytest.param(key, rate, id=f"{key}-{rate}") for key in ("pose_rate_hz", "frame_rate_hz")
       for rate in (5e-324, 1e-308, 1e308, 2**63, 10**25)),
     pytest.param("trial", 2**63, id="trial-2**63"),
+    *(pytest.param("width", w, id=f"pgm-width-{w.decode()}")
+      for w in (b"0", b"1e3", b"0x10")),
+    pytest.param("width", b"9" * 5000, id="pgm-width-5000-digits"),
+    *(pytest.param("maxval", m, id=f"pgm-maxval-{m.decode()}") for m in (b"0", b"65535", b"+255")),
+    pytest.param("config", {"levels": 2**64}, id="levels-2**64"),
+    pytest.param("config", {"speed_smoothing_window": 2**63 - 1},
+                 id="speed_smoothing_window-2**63-1"),
+    *(pytest.param("config", {key: x}, id=f"{key}-{x}") for key, x in (
+        ("sparc_cutoff_hz", 5e-324), ("sparc_cutoff_hz", 1e308),
+        ("sparc_amplitude_threshold", 5e-324))),
+    *(pytest.param("config", doc, id=f"{next(iter(doc))}-{label}")
+      for v, label in ((2**63, "2**63"), (-2**63, "-2**63"), (2**70, "2**70"))
+      for doc in ({"roi": [v, 0, 1, 1]}, {"roi": [0, 0, v, v]}, {"offsets": [[v, 0]]},
+                  {"offsets": [[1, v]]})),
 ]
 
 
@@ -750,21 +740,32 @@ class TestNumericExtremes:
         session = tmp_path / "s"
         shutil.copytree(small_session, session)
         pose_csv, manifest = session / "pose.csv", session / "manifest.json"
+        frame = session / "frames" / "000000.pgm"
         lines = pose_csv.read_text().splitlines()
+        config = []
         if field == "pose_row":
             lines[5] = ",".join([lines[5].split(",")[0], *[value] * 4])
         elif field == "last_t_us":
             lines[-1] = f"{value}," + lines[-1].split(",", 1)[1]
+        elif field in ("width", "maxval"):
+            header = {"width": b"16", "maxval": b"255", field: value}
+            pixels = frame.read_bytes()[len(b"P5\n16 12\n255\n"):]
+            frame.write_bytes(b"P5\n%s 12\n%s\n" % (header["width"], header["maxval"]) + pixels)
+        elif field == "config":
+            (tmp_path / "config.json").write_text(json.dumps(value))
+            config = ["--config", str(tmp_path / "config.json")]
         else:
             manifest.write_text(json.dumps({**json.loads(manifest.read_text()), field: value}))
         pose_csv.write_text("\n".join(lines) + "\n")
         for command in ("validate", "fuse", "report"):
-            out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+            out = [] if command == "validate" else ["--out", str(tmp_path / "out"), *config]
             with contextlib.redirect_stdout(io.StringIO()):
                 code, err = _run([command, "--session", str(session), *out])
             assert code in (0, 1, 3), (command, code, err)
             assert not any("Traceback" in line for line in err)
             assert sum(line.startswith("error:") for line in err) == (code == 3), (command, err)
+            if field in ("width", "maxval"):  # a bad header names its file
+                assert code == 3 and err[0].endswith(f" in {frame}"), (command, err)
 
 
 class TestProperties:
@@ -848,6 +849,32 @@ def test_readme_lists_config_keys_and_defaults():
     assert documented == {
         f.name: json.loads(json.dumps(f.default)) for f in CONFIG_FIELDS
     }
+
+
+def test_readme_names_are_public():
+    # A module's __all__ is the one list of its public names, so every name the
+    # README shows that a module defines at top level must be in it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    src = Path(scanskill.__file__).resolve().parent
+    shown = set()
+    for name in re.findall(r"`([A-Za-z_][\w.]*)`", readme):
+        # `scanskill.synth.gen_trajectory` shows gen_trajectory; `Frame.pixels` shows Frame.
+        parts = name.split(".")
+        shown.add(parts[-1] if parts[0] == "scanskill" else parts[0])
+    checked = set()
+    for path in sorted(src.glob("[!_]*.py")):
+        defined = set()
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        public = getattr(importlib.import_module(f"scanskill.{path.stem}"), "__all__", ())
+        for name in sorted(n for n in shown & defined if not n.startswith("_")):
+            assert name in public, f"README shows {name}, not in {path.stem}.__all__"
+            checked.add(name)
+    assert {"build_report", "StreamingFuser", "write_pose_csv", "gen_trajectory"} <= checked
 
 
 def test_text_files_written_only_by_the_shared_writers():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ class TestPgm:
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValueError, match="unsupported depth"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n1e3 1\n255\n", b"P5\n0x10 1\n255\n", b"P5\n\xff\xfe 1\n255\n",
+        b"P5\n" + b"9" * 5000 + b" 1\n255\n", b"P5\n1 1\n+255\n", b"P5\n1_0 1\n255\n",
+        b"P5\n1 " + b"1" * 20 + b"\n255\n",
+    ], ids=["exponent", "hex", "non-ascii", "5000-digits", "plus-sign", "underscore",
+            "20-digits"])
+    def test_bad_header_field_names_file(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x00" * 16)
+        message = rf"^bad PGM header field .* in {re.escape(str(path))}$"
+        with pytest.raises(ValueError, match=message):
             read_pgm(path)
 
     @pytest.mark.parametrize("data", [
