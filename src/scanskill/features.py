@@ -13,11 +13,13 @@ the angular-speed profile (spectral arc length and log dimensionless jerk).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import multiprocessing
 import os
 import threading
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -153,7 +155,7 @@ def _pixels_of(frame: Frame | np.ndarray, roi: tuple[int, int, int, int] | None)
         return px
     x, y, w, h = roi
     if x < 0 or y < 0 or w <= 0 or h <= 0 or y + h > px.shape[0] or x + w > px.shape[1]:
-        raise ValueError("roi out of bounds")
+        raise ValueError(f"roi out of bounds: {roi} in a {px.shape[1]}x{px.shape[0]} frame")
     return px[y : y + h, x : x + w]
 
 
@@ -174,7 +176,9 @@ def _pair_region(shape: tuple[int, int], offset: tuple[int, int]) -> tuple[int, 
     y0, y1 = max(0, -dy), h - max(0, dy)
     x0, x1 = max(0, -dx), w - max(0, dx)
     if y1 <= y0 or x1 <= x0:
-        raise ValueError("empty co-occurrence")
+        raise ValueError(
+            f"empty co-occurrence: offset {offset} leaves no pixel pair in a {w}x{h} image"
+        )
     return y0, y1, x0, x1
 
 
@@ -207,9 +211,10 @@ def glcm_counts(img: np.ndarray, levels: int, offset: tuple[int, int]) -> np.nda
 
 
 def _normalize(counts: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Counts (..., L, L) as co-occurrence matrices that each sum to 1."""
     if symmetric:
-        counts = counts + counts.T
-    return counts / counts.sum()
+        counts = counts + np.swapaxes(counts, -1, -2)
+    return counts / counts.sum(axis=(-2, -1), keepdims=True)
 
 
 def glcm(
@@ -268,9 +273,27 @@ def frame_features(
     ASM and homogeneity are averaged arithmetically across offsets; energy
     is ``sqrt`` of the averaged ASM so the energy/ASM identity survives the
     averaging.  The results equal those of :func:`quantize`, :func:`glcm`,
-    :func:`texture_features` and :func:`histogram_stats` bit for bit.
+    :func:`texture_features` and :func:`histogram_stats` bit for bit,
+    whether the compiled kernel or numpy counts the pairs.
     """
     px = _pixels_of(frame, cfg.roi)
+    # From 2^32 pixels on, a uint32 table of the kernel could overflow.
+    kernel = _kernel() if px.size < 1 << 32 else None
+    counts, hist_counts = (
+        _numpy_counts(px, cfg) if kernel is None else _compiled_counts(kernel, px, cfg)
+    )
+    P = _normalize(counts, cfg.symmetric).reshape(len(counts), -1)
+    # Each row sum reduces one matrix as np.sum does in texture_features, and
+    # Python's sum adds the offsets in order: the composition's exact result.
+    asm = sum(np.sum(P * P, axis=1).tolist()) / len(P)
+    weights = _homogeneity_weights(cfg.levels).reshape(-1)
+    homogeneity = sum(np.sum(P * weights, axis=1).tolist()) / len(P)
+    texture = TextureFeatures(asm=asm, energy=math.sqrt(asm), homogeneity=homogeneity)
+    return texture, _histogram(hist_counts, px.size)
+
+
+def _numpy_counts(px: np.ndarray, cfg: GlcmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_offsets, L, L) co-occurrence counts and 256-bin histogram of ``px``."""
     levels = cfg.levels
     q = quantize(px, levels)
     first, *rest = cfg.offsets
@@ -283,14 +306,76 @@ def frame_features(
     border = np.concatenate(
         [px[:y0].ravel(), px[y1:].ravel(), px[y0:y1, :x0].ravel(), px[y0:y1, x1:].ravel()]
     )
-    hist = _histogram(joint.sum(axis=1) + np.bincount(border, minlength=256), px.size)
+    hist = joint.sum(axis=1) + np.bincount(border, minlength=256)
     counts = [joint.reshape(levels, 256 // levels, levels).sum(axis=1)]
     counts += [_pair_counts(q, q, offset, levels, levels) for offset in rest]
+    return np.stack(counts), hist
 
-    texs = [texture_features(_normalize(c, cfg.symmetric)) for c in counts]
-    asm = sum(t.asm for t in texs) / len(texs)
-    homogeneity = sum(t.homogeneity for t in texs) / len(texs)
-    return TextureFeatures(asm=asm, energy=math.sqrt(asm), homogeneity=homogeneity), hist
+
+def _compiled_counts(
+    kernel: ctypes.CDLL, px: np.ndarray, cfg: GlcmConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_numpy_counts` through the compiled kernel."""
+    # The regions keep every pixel and its partner inside px, so every
+    # index and byte offset the kernel forms lies within px.
+    regions = [_pair_region(px.shape, offset) for offset in cfg.offsets]
+    if px.strides[1] != 1:
+        px = np.ascontiguousarray(px)
+    stride = px.strides[0]
+    counts = np.empty((len(cfg.offsets), cfg.levels, cfg.levels), np.int64)
+    for out, (dx, dy), (y0, y1, x0, x1) in zip(counts, cfg.offsets, regions):
+        start = px.ctypes.data + y0 * stride + x0
+        kernel.pair_counts(start, stride, y1 - y0, x1 - x0, dy * stride + dx, cfg.levels,
+                           out.ctypes.data)
+    hist = np.empty(256, np.int64)
+    kernel.histogram(px.ctypes.data, stride, *px.shape, hist.ctypes.data)
+    return counts, hist
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_glcm.c")
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL | None:
+    """The counting kernel in ``_glcm.c``, compiled on first use; None if it cannot be.
+
+    The library is cached per user, under ``$XDG_CACHE_HOME/scanskill`` or
+    ``~/.cache/scanskill``, in a file named by the source's length and a
+    CRC-32 of the source and compiler flags.
+    """
+    try:
+        code = _KERNEL_SOURCE.read_bytes()
+        key = zlib.crc32(code + " ".join(_KERNEL_FLAGS).encode())
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "scanskill")
+        path = cache / f"_glcm-{len(code)}-{key:08x}.so"
+        if not path.exists():
+            _compile_kernel(path)
+        kernel = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError):  # no cc, a failed compile, an unwritable cache or home
+        return None
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    kernel.pair_counts.argtypes = [ptr, size, size, size, size, ctypes.c_int, ptr]
+    kernel.pair_counts.restype = None
+    kernel.histogram.argtypes = [ptr, size, size, size, ptr]
+    kernel.histogram.restype = None
+    return kernel
+
+
+def _compile_kernel(path: Path) -> None:
+    """Build ``_glcm.c`` into ``path``; concurrent builds each replace it whole."""
+    import subprocess
+    import tempfile
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+        built = os.path.join(tmp, path.name)
+        cc = subprocess.run(
+            ["cc", *_KERNEL_FLAGS, "-o", built, str(_KERNEL_SOURCE)], capture_output=True
+        )
+        if cc.returncode:
+            raise OSError(f"cc failed on {_KERNEL_SOURCE}: {cc.stderr.decode(errors='replace')}")
+        os.replace(built, path)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +565,11 @@ def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) ->
 
 
 # Below this many pixels across a session's distinct pixel sources the
-# features are computed serially.  On two cores the pool breaks even at
-# about 6 to 10 Mpx (320x240 frames in memory, 640x480 frames decoded from
-# disk); the margin above that keeps short sessions, whose saving would be
-# within noise, off the pool.
+# features are computed serially.  On two cores, with the compiled kernel
+# counting, the pool breaks even at about 9 to 12 Mpx, both for 320x240
+# frames in memory and for 640x480 frames decoded from disk (numpy counting:
+# 6 to 10 Mpx); the margin above that keeps short sessions, whose saving
+# would be within noise, off the pool.
 _POOL_MIN_PIXELS = 1 << 24
 # Each worker takes about this many chunks of frames, so that a slow chunk
 # near the end leaves little idle time on the other workers.
@@ -559,6 +645,7 @@ def _distinct_frame_features(
     workers = _pool_workers(frames, indices)
     if workers <= 1:
         return _frame_rows(frames, indices, cfg)
+    _kernel()  # loaded, or built, once here; the workers inherit it through the fork
     chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
     chunks = [indices[k : k + chunksize] for k in range(0, len(indices), chunksize)]
     with ProcessPoolExecutor(

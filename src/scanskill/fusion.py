@@ -203,7 +203,13 @@ def _fuse_span(
     pose_t = np.asarray(pose_t, dtype=np.int64)
     frame_t = np.asarray(frame_t, dtype=np.int64)
     n = (last_t - first_t) // cfg.delta_t_us + 1
-    grid = first_t + cfg.delta_t_us * np.arange(n, dtype=np.int64)
+    try:
+        grid = first_t + cfg.delta_t_us * np.arange(n, dtype=np.int64)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"cannot allocate a grid of {n} instants: {last_t - first_t} us"
+            f" at delta_t_us {cfg.delta_t_us}"
+        ) from exc
     out_q = _interpolate_on_grid(pose_t, quats, grid, cfg.pose_policy)
     f_idx, f_stale = _associate_frames(frame_t, grid, cfg)
     return [

@@ -20,15 +20,34 @@ from scanskill.synth import build_session, expert_profile, extend_with_idle, gen
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's scanskill.
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled GLCM kernel into this test run's cache, not the user's.
+
+    Subprocesses inherit the setting.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+def python_env(**extra: str) -> dict[str, str]:
+    """This process's environment, updated with ``extra``, for a fresh
+    interpreter that imports this checkout's scanskill."""
+    src = str(Path(scanskill.__file__).resolve().parent.parent)
+    pythonpath = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's scanskill, with
+    the ``env`` variables set.
 
     The timeout turns a hang into a test failure.
     """
-    src = str(Path(scanskill.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=python_env(**env), capture_output=True, text=True,
+        timeout=120,
     )
 
 

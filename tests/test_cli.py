@@ -766,6 +766,17 @@ class TestNumericExtremes:
             assert sum(line.startswith("error:") for line in err) == (code == 3), (command, err)
             if field in ("width", "maxval"):  # a bad header names its file
                 assert code == 3 and err[0].endswith(f" in {frame}"), (command, err)
+            if command != "validate" and field == "last_t_us" and value == 2**63 - 1:
+                assert err == [f"error: cannot allocate a grid of {value // 10_000 + 1} instants:"
+                               f" {value} us at delta_t_us 10000"], (command, err)
+            if command == "report" and field == "config" and value.keys() & {"roi", "offsets"}:
+                # A GLCM geometry that passes the config names itself and the frame size.
+                (key, v), = value.items()
+                if key == "offsets":
+                    assert err == [f"error: empty co-occurrence: offset {tuple(v[0])}"
+                                   " leaves no pixel pair in a 16x12 image"], err
+                elif min(v) >= 0:
+                    assert err == [f"error: roi out of bounds: {tuple(v)} in a 16x12 frame"], err
 
 
 class TestProperties:

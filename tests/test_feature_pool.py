@@ -115,6 +115,35 @@ def test_pooled_shared_source_session_equals_serial(kind, tmp_path, monkeypatch)
     assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
 
 
+def test_workers_inherit_the_kernel(session_dir, tmp_path, monkeypatch):
+    serial = _frame_features(session_dir, GlcmConfig())
+    monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # empty: the kernel is built again
+    builds = multiprocessing.get_context("fork").Value("i", 0)
+    real = features._compile_kernel
+
+    def counted(path):
+        with builds.get_lock():
+            builds.value += 1
+        real(path)
+
+    monkeypatch.setattr(features, "_compile_kernel", counted)
+    features._kernel.cache_clear()
+    try:
+        _assert_same_frame_features(serial, _frame_features(session_dir, GlcmConfig()))
+    finally:
+        features._kernel.cache_clear()
+    # Built, or tried, once before the fork and in no worker.
+    assert builds.value == 1
+
+
+def test_pooled_numpy_counts_equal_compiled(session_dir, monkeypatch):
+    monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    compiled = _frame_features(session_dir, GlcmConfig())
+    monkeypatch.setattr(features, "_kernel", lambda: None)
+    _assert_same_frame_features(compiled, _frame_features(session_dir, GlcmConfig()))
+
+
 def test_shared_array_session_stays_serial(monkeypatch):
     width, height, n_frames = 320, 240, 2000
     pixels = np.random.default_rng(0).integers(0, 256, (height, width), dtype=np.uint8)

@@ -1,4 +1,8 @@
 import math
+import re
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,8 +38,10 @@ from conftest import (
     assert_same_table,
     make_session,
     private_copies,
+    python_env,
     random_unit_quat,
     repeated_frames_session,
+    run_python,
     shared_source_session,
     smooth_pose_walk,
 )
@@ -299,11 +305,19 @@ class TestFrameFeaturesExact:
             "saturated": np.full(shape, 255, dtype=np.uint8),
             "random": np.random.default_rng(h * 100 + w).integers(0, 256, shape, dtype=np.uint8),
             "smooth": np.rint(smooth).astype(np.uint8),
+            # Not C-contiguous: a row's pixels are h bytes apart.
+            "transposed": np.random.default_rng(w).integers(0, 256, (w, h), dtype=np.uint8).T,
+            # Rows run backwards through memory.
+            "flipped": np.random.default_rng(h).integers(0, 256, shape, dtype=np.uint8)[::-1],
         }
 
     def assert_same(self, img, cfg):
-        got = self.outcome(frame_features, img, cfg)
-        want = self.outcome(self.composed, img, cfg)
+        self.assert_same_outcome(
+            self.outcome(frame_features, img, cfg), self.outcome(self.composed, img, cfg)
+        )
+
+    @staticmethod
+    def assert_same_outcome(got, want):
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
             return
@@ -339,6 +353,101 @@ class TestFrameFeaturesExact:
         with pytest.raises(ValueError, match=message):
             frame_features(img, cfg)
         self.assert_same(img, cfg)
+
+
+class TestFrameFeaturesNumpy(TestFrameFeaturesExact):
+    """The same, with numpy counting the pairs as where no kernel can be built."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(features, "_kernel", lambda: None)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+
+
+@needs_cc
+class TestCompiledKernel:
+    """The kernel built from ``_glcm.c`` counts exactly what numpy counts."""
+
+    @pytest.fixture
+    def kernel(self):
+        kernel = features._kernel()
+        assert kernel is not None
+        return kernel
+
+    @staticmethod
+    def cases():
+        exact = TestFrameFeaturesExact
+        for h, w in exact.SHAPES:
+            for roi in (None, (w // 3, h // 3, w - w // 3, h - h // 3)):
+                for offsets in exact.OFFSET_SETS:
+                    for img in exact.images((h, w)).values():
+                        yield img, roi, offsets
+
+    @pytest.mark.parametrize("levels", [8, 16, 32, 64])
+    def test_counts_equal_numpy(self, kernel, levels):
+        for img, roi, offsets in self.cases():
+            px = features._pixels_of(img, roi)
+            cfg = GlcmConfig(levels=levels, offsets=offsets)
+            try:
+                counts, hist = features._compiled_counts(kernel, px, cfg)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    features._numpy_counts(px, cfg)
+                continue
+            q = quantize(px, levels)
+            assert np.array_equal(counts, [glcm_counts(q, levels, o) for o in offsets])
+            assert np.array_equal(hist, np.bincount(px.ravel(), minlength=256))
+
+    @pytest.mark.parametrize("levels", [8, 16, 32, 64])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_frame_features_equal_numpy(self, kernel, monkeypatch, levels, symmetric):
+        cases = [(img, GlcmConfig(levels=levels, offsets=offsets, symmetric=symmetric, roi=roi))
+                 for img, roi, offsets in self.cases()]
+        outcome = TestFrameFeaturesExact.outcome
+        compiled = [outcome(frame_features, img, cfg) for img, cfg in cases]
+        monkeypatch.setattr(features, "_kernel", lambda: None)
+        for (img, cfg), got in zip(cases, compiled):
+            TestFrameFeaturesExact.assert_same_outcome(got, outcome(frame_features, img, cfg))
+
+    def test_region_of_2_to_the_32_pixels_counts_in_numpy(self, monkeypatch):
+        # Broadcast from one byte: 2^32 pixels, no memory.
+        px = np.broadcast_to(np.uint8(7), (1 << 16, 1 << 16))
+
+        def numpy_counts(px, cfg):
+            raise LookupError("numpy counts")
+
+        monkeypatch.setattr(features, "_numpy_counts", numpy_counts)
+        with pytest.raises(LookupError):
+            frame_features(px, GlcmConfig())
+
+    def test_report_without_cc_equals_compiled(self, tiny_expert_session, tmp_path):
+        from scanskill.ingest import write_session
+
+        session = tmp_path / "s"
+        session.mkdir()
+        write_session(session, tiny_expert_session)
+        (tmp_path / "empty").mkdir()
+        for name, path in (("compiled", None), ("numpy", str(tmp_path / "empty"))):
+            cache = tmp_path / name / "cache"
+            env = {"XDG_CACHE_HOME": str(cache)} | ({"PATH": path} if path else {})
+            proc = run_python("-m", "scanskill", "report", "--session", str(session),
+                              "--out", str(tmp_path / name), **env)
+            assert proc.returncode == 0, proc.stderr
+            assert len(list(cache.glob("scanskill/*.so"))) == (name == "compiled")
+        assert (tmp_path / "numpy" / "report.json").read_bytes() == (
+            tmp_path / "compiled" / "report.json").read_bytes()
+
+    def test_concurrent_first_builds_leave_one_library(self, tmp_path):
+        code = "from scanskill import features; assert features._kernel() is not None"
+        env = python_env(XDG_CACHE_HOME=str(tmp_path))
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
+                 for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        assert [p.suffix for p in (tmp_path / "scanskill").iterdir()] == [".so"]
 
 
 class TestHistogram:
