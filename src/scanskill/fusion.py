@@ -175,8 +175,8 @@ def fuse_streams(session: Session, cfg: ResampleConfig) -> list[FusedSample]:
         raise ValueError("cannot interpolate")
     if not session.frames:
         raise ValueError("streams do not overlap in time")
-    pose_t = np.array([p.t_us for p in session.poses], dtype=np.int64)
-    quats = hemisphere_align(np.stack([p.q for p in session.poses]))
+    pose_t = session.poses.t_us
+    quats = hemisphere_align(session.poses.q)
     frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
 
     if frame_t[0] > pose_t[-1] or pose_t[0] > frame_t[-1]:

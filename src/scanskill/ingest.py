@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import INT64_MAX, SessionMeta, q_normalize
 __all__ = [
     "Frame",
     "PoseSample",
+    "Poses",
     "Session",
     "ValidationFinding",
     "ValidationReport",
@@ -51,7 +52,7 @@ _MANIFEST_KEYS = tuple(f.name for f in fields(SessionMeta))
 # Extension key written by the synthetic-session generator; tolerated on read.
 _MANIFEST_EXTRA_KEYS = ("synthetic_profile",)
 
-# Largest |norm - 1| a Session accepts in a pose quaternion.
+# Largest |norm - 1| a Poses accepts in a quaternion.
 _QUAT_NORM_TOL = 1e-3
 # Validation thresholds.
 _SPAN_MISMATCH_FRAC = 0.10
@@ -128,37 +129,74 @@ class Frame:
         return f"Frame(t_us={self.t_us}, {self.width}x{self.height})"
 
 
+@dataclass(frozen=True, eq=False)
+class Poses:
+    """A pose stream as read-only columns: ``t_us`` (n,) int64, ``q`` (n, 4) float64.
+
+    Construction copies both and checks what fusion and every metric assume:
+    ``t_us`` strictly increases and each quaternion's norm is within 1e-3 of 1,
+    else ValueError names the first offending index.  ``len``, indexing and
+    iteration give :class:`PoseSample` views, for callers taking one at a time.
+    """
+
+    t_us: np.ndarray
+    q: np.ndarray
+
+    def __post_init__(self) -> None:
+        t = np.array(self.t_us, dtype=np.int64)
+        q = np.array(self.q, dtype=np.float64)
+        if t.ndim != 1 or q.shape != (len(t), 4):
+            raise ValueError(f"poses need t_us (n,) and q (n, 4), got {t.shape} and {q.shape}")
+        _check_advancing("pose", t)
+        # hypot, unlike a sum of squares, neither overflows nor warns for a
+        # finite q; a NaN norm fails the test below too.
+        norms = np.hypot.reduce(q, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _QUAT_NORM_TOL))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"pose {i} has norm {norms[i]:.6f} (deviation > {_QUAT_NORM_TOL})")
+        t.flags.writeable = q.flags.writeable = False
+        object.__setattr__(self, "t_us", t)
+        object.__setattr__(self, "q", q)
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    def __getitem__(self, i: int) -> PoseSample:
+        return PoseSample(int(self.t_us[i]), self.q[i])
+
+    def __iter__(self) -> Iterator[PoseSample]:
+        return map(PoseSample, self.t_us.tolist(), self.q)
+
+
 @dataclass(frozen=True)
 class Session:
     """A full recorded session: metadata plus both sensor streams.
 
-    Construction checks what fusion and every metric assume: each stream's
-    ``t_us`` strictly increases, and each pose quaternion's norm is within
-    ``_QUAT_NORM_TOL`` (1e-3) of 1.  Either stream may be empty.  Raises
-    ValueError naming the stream and the index of the first offending sample.
+    ``poses`` holds its own invariants (see :class:`Poses`).  Construction
+    checks that frame ``t_us`` strictly increases, naming the index of the
+    first offending frame in a ValueError.  Either stream may be empty.
     """
 
     meta: SessionMeta
-    poses: list[PoseSample]
+    poses: Poses
     frames: list[Frame]
     synthetic_profile: dict | None = None
 
     def __post_init__(self) -> None:
-        for name, stream in (("pose", self.poses), ("frame", self.frames)):
-            t = [s.t_us for s in stream]
-            for i in range(1, len(t)):
-                if t[i] <= t[i - 1]:
-                    raise ValueError(
-                        f"{name} stream: t_us {t[i]} at index {i} does not advance past {t[i - 1]}"
-                    )
-        if self.poses:
-            # hypot, unlike a sum of squares, neither overflows nor warns for a
-            # finite q; a NaN norm fails the test below too.
-            norms = np.hypot.reduce(np.array([p.q for p in self.poses]), axis=1)
-            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _QUAT_NORM_TOL))
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(f"pose {i} has norm {norms[i]:.6f} (deviation > {_QUAT_NORM_TOL})")
+        if not isinstance(self.poses, Poses):
+            raise TypeError(f"poses must be a Poses, got {type(self.poses).__name__}")
+        _check_advancing("frame", np.array([f.t_us for f in self.frames], dtype=np.int64))
+
+
+def _check_advancing(name: str, t: np.ndarray) -> None:
+    """Raise ValueError at the first ``t_us`` that does not advance past the one before."""
+    back = np.flatnonzero(t[1:] <= t[:-1])
+    if back.size:
+        i = int(back[0]) + 1
+        raise ValueError(
+            f"{name} stream: t_us {t[i]} at index {i} does not advance past {t[i - 1]}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +246,8 @@ def _write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
             fh.write(",".join("" if v is None or v != v else str(v) for v in row) + "\n")
 
 
-def read_pose_csv(path: str | Path) -> list[PoseSample]:
-    """Parse a ``pose.csv`` file into ordered pose samples.
+def read_pose_csv(path: str | Path) -> Poses:
+    """Parse a ``pose.csv`` file into an ordered pose stream.
 
     Quaternions are normalized on read (sensor quantization tolerated), and
     every finite row but all zeros keeps its direction.  Raises ValueError
@@ -239,11 +277,12 @@ def read_pose_csv(path: str | Path) -> list[PoseSample]:
         quats.append(comps)
     if not times:
         raise ValueError("no samples")
-    return [PoseSample(t, q) for t, q in zip(times, q_normalize(np.array(quats)))]
+    return Poses(np.array(times, dtype=np.int64), q_normalize(np.array(quats)))
 
 
-def write_pose_csv(path: str | Path, poses: Iterable[PoseSample]) -> None:
-    _write_csv(path, POSE_HEADER, ([p.t_us, *p.q.tolist()] for p in poses))
+def write_pose_csv(path: str | Path, poses: Poses) -> None:
+    rows = ([t, *q] for t, q in zip(poses.t_us.tolist(), poses.q.tolist()))
+    _write_csv(path, POSE_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +470,7 @@ def validate_session(session: Session) -> ValidationReport:
     :class:`Session` already holds them.
     """
     report = ValidationReport()
-    pose_t = np.array([p.t_us for p in session.poses], dtype=np.int64)
+    pose_t = session.poses.t_us
     frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
 
     if pose_t.size == 0:

@@ -33,7 +33,7 @@ import numpy as np
 from .core import INT64_MAX, SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply
 from .core import q_normalize
 from .fusion import _interpolate_on_grid, _slerp_pairs, hemisphere_align
-from .ingest import Frame, PoseSample, Session, write_session
+from .ingest import Frame, Poses, Session, write_session
 
 __all__ = [
     "ProfileConfig",
@@ -156,7 +156,7 @@ def _slerp_fixed(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _slerp_pairs(np.broadcast_to(a, (n, 4)), np.broadcast_to(b, (n, 4)), s)
 
 
-def gen_trajectory(profile: ProfileConfig) -> list[PoseSample]:
+def gen_trajectory(profile: ProfileConfig) -> Poses:
     """Seed-deterministic orientation stream for one synthetic session.
 
     Draw order (rng seeded with [0, kind_code, seed]): total sample count;
@@ -195,8 +195,7 @@ def gen_trajectory(profile: ProfileConfig) -> list[PoseSample]:
         active = tremor[:, 0] != 1.0  # keep rest samples bit-exactly at rest
         quats[active] = q_normalize(q_multiply(quats[active], tremor[active]))
 
-    t_us = period_us * np.arange(n_total, dtype=np.int64)
-    return [PoseSample(int(t), q) for t, q in zip(t_us, hemisphere_align(quats))]
+    return Poses(period_us * np.arange(n_total, dtype=np.int64), hemisphere_align(quats))
 
 
 def _snap_to_frame_grid(n: int, lo: int, profile: ProfileConfig) -> int:
@@ -378,10 +377,13 @@ def gen_phantom_frame(
     are rendered on each access of ``Frame.pixels``; the frame keeps none.
     """
     width, height = geometry
-    theta = q_geodesic_angle(q, target)
-    align = float(np.exp(-((theta / ALIGNMENT_SIGMA_RAD) ** 2)))
-    contrast = _CONTRAST_BASE + _CONTRAST_GAIN * align
+    contrast = _contrast(q_geodesic_angle(q, target))
     return _PhantomFrame(t_us, _base_field(width, height, seed), contrast)
+
+
+def _contrast(theta):
+    """Phantom contrast at geodesic angle ``theta`` to the target; broadcasts."""
+    return _CONTRAST_BASE + _CONTRAST_GAIN * np.exp(-((theta / ALIGNMENT_SIGMA_RAD) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +398,13 @@ def build_session(profile: ProfileConfig) -> Session:
     poses = gen_trajectory(profile)
     target = profile.resolved_target()
     frame_period_us = round(1e6 / profile.frame_rate_hz)
-    span = poses[-1].t_us
-    frame_t = frame_period_us * np.arange(span // frame_period_us + 1, dtype=np.int64)
+    frame_t = frame_period_us * np.arange(poses.t_us[-1] // frame_period_us + 1, dtype=np.int64)
 
-    pose_t = np.array([p.t_us for p in poses], dtype=np.int64)
-    quats = np.stack([p.q for p in poses])
-    frame_q = _interpolate_on_grid(pose_t, quats, frame_t, "slerp")
-    frames = [
-        gen_phantom_frame(
-            fq, target, (profile.frame_width, profile.frame_height), profile.seed, t_us=int(ft)
-        )
-        for ft, fq in zip(frame_t, frame_q)
-    ]
+    # gen_phantom_frame's contrast, for all frames at once.
+    frame_q = _interpolate_on_grid(poses.t_us, poses.q, frame_t, "slerp")
+    contrast = _contrast(q_geodesic_angle(frame_q, target))
+    field = _base_field(profile.frame_width, profile.frame_height, profile.seed)
+    frames = [_PhantomFrame(t, field, c) for t, c in zip(frame_t.tolist(), contrast.tolist())]
 
     meta = SessionMeta(
         session_id=f"{profile.kind}-{profile.seed:04d}",
@@ -449,11 +446,11 @@ def extend_with_idle(session: Session, duration_s: float) -> Session:
     n_poses = int(round(duration_s * session.meta.pose_rate_hz))
     n_frames = int(round(duration_s * session.meta.frame_rate_hz))
 
-    last_pose = session.poses[-1]
-    extra_poses = [
-        PoseSample(last_pose.t_us + pose_period * (i + 1), last_pose.q.copy())
-        for i in range(n_poses)
-    ]
+    t, q = session.poses.t_us, session.poses.q
+    poses = Poses(
+        np.concatenate([t, t[-1] + pose_period * np.arange(1, n_poses + 1, dtype=np.int64)]),
+        np.concatenate([q, np.repeat(q[-1:], n_poses, axis=0)]),
+    )
     last_frame = session.frames[-1]
     extra_frames = []
     for i in range(n_frames):
@@ -464,7 +461,7 @@ def extend_with_idle(session: Session, duration_s: float) -> Session:
         extra_frames.append(frame)
     return Session(
         meta=session.meta,
-        poses=session.poses + extra_poses,
+        poses=poses,
         frames=session.frames + extra_frames,
         synthetic_profile=session.synthetic_profile,
     )

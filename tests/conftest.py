@@ -14,7 +14,7 @@ import scanskill
 
 from scanskill.core import SessionMeta
 from scanskill.fusion import hemisphere_align
-from scanskill.ingest import Frame, PoseSample, Session, load_session
+from scanskill.ingest import Frame, PoseSample, Poses, Session, load_session
 from scanskill.synth import build_session, expert_profile, extend_with_idle, gen_session
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -94,8 +94,18 @@ def constant_frame(t_us: int, width: int = 8, height: int = 8, value: int = 100)
     return Frame(t_us, width, height, pixels=np.full((height, width), value, dtype=np.uint8))
 
 
+def pose_columns(poses: list[PoseSample] | Poses) -> Poses:
+    """``poses`` as a :class:`Poses`; one passes through as it is."""
+    if isinstance(poses, Poses):
+        return poses
+    return Poses(
+        np.array([p.t_us for p in poses], dtype=np.int64),
+        np.reshape([p.q for p in poses], (-1, 4)),
+    )
+
+
 def make_session(
-    poses: list[PoseSample],
+    poses: list[PoseSample] | Poses,
     frames: list[Frame],
     pose_rate_hz: float = 100.0,
     frame_rate_hz: float = 25.0,
@@ -109,7 +119,7 @@ def make_session(
         pose_rate_hz=pose_rate_hz,
         frame_rate_hz=frame_rate_hz,
     )
-    return Session(meta=meta, poses=poses, frames=frames)
+    return Session(meta=meta, poses=pose_columns(poses), frames=frames)
 
 
 def smooth_pose_walk(rng: np.random.Generator, times_us: list[int]) -> list[PoseSample]:

@@ -14,6 +14,8 @@ from scanskill.ingest import (
     POSE_HEADER,
     Frame,
     PoseSample,
+    Poses,
+    Session,
     load_session,
     read_frame_index,
     read_manifest,
@@ -22,6 +24,7 @@ from scanskill.ingest import (
     validate_session,
     write_manifest,
     write_pgm,
+    write_pose_csv,
     write_session,
 )
 
@@ -30,6 +33,7 @@ from conftest import (
     constant_frame,
     make_session,
     peak_rss_kib,
+    pose_columns,
     random_stream_times,
     random_unit_quat,
     smooth_pose_walk,
@@ -222,6 +226,22 @@ class TestFrameIndex:
         px = np.zeros((4, 6), dtype=np.uint8)
         _write_index(tmp_path, [(0, "000000.pgm", px), (40000, "000002.pgm", None)])
         with pytest.raises(ValueError, match="missing frame file frames/000002.pgm"):
+            read_frame_index(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "symlink-loop"])
+    def test_not_a_regular_file(self, tmp_path, kind):
+        px = np.zeros((4, 6), dtype=np.uint8)
+        _write_index(tmp_path, [(0, "000000.pgm", px), (40000, "000001.pgm", None)])
+        path = tmp_path / "frames" / "000001.pgm"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "symlink-loop":
+            path.symlink_to(path.name)
+        elif hasattr(os, "mkfifo"):
+            os.mkfifo(path)  # opening it would wait for a writer
+        else:
+            pytest.skip("needs os.mkfifo")
+        with pytest.raises(ValueError, match="^missing frame file frames/000001.pgm$"):
             read_frame_index(tmp_path)
 
     def test_geometry_change(self, tmp_path):
@@ -435,41 +455,143 @@ def _identity_poses(times):
     return [PoseSample(t, IDENTITY.copy()) for t in times]
 
 
+# fuse_streams used to fuse the last three without an error, to 11, 4 and 5 samples.
+_REGRESSIONS = [
+    pytest.param((0, 10_000), (40_000, 20_000, 60_000),
+                 "frame stream: t_us 20000 at index 1 does not advance past 40000",
+                 id="frame-regression"),
+    pytest.param((0, 10_000, 20_000, 15_000, *range(30_000, 110_000, 10_000)),
+                 (0, 40_000, 80_000),
+                 "pose stream: t_us 15000 at index 3 does not advance past 20000",
+                 id="pose-regression"),
+    pytest.param((0, 10_000, 10_000, 20_000, 30_000), (0, 40_000),
+                 "pose stream: t_us 10000 at index 2 does not advance past 10000",
+                 id="pose-duplicate"),
+    pytest.param((0, 10_000, 20_000, 30_000, 40_000), (0, 40_000, 40_000),
+                 "frame stream: t_us 40000 at index 2 does not advance past 40000",
+                 id="frame-duplicate"),
+]
+
+# With pose_policy "nearest", fuse_streams used to copy the norm-2 pose into its grid.
+_NON_UNIT = [
+    pytest.param(1, [1.01, 0, 0, 0], r"pose 1 has norm 1\.010000 \(deviation > 0\.001\)",
+                 id="norm-1.01"),
+    pytest.param(4, [2.0, 0, 0, 0], r"pose 4 has norm 2\.000000 \(deviation > 0\.001\)",
+                 id="norm-2"),
+    pytest.param(2, [np.nan, 0, 0, 0], r"pose 2 has norm nan \(deviation > 0\.001\)",
+                 id="norm-nan"),
+    pytest.param(3, [1e200, 1e200, 0, 0],
+                 r"pose 3 has norm 1414[0-9]{197}\.000000 \(deviation > 0\.001\)",
+                 id="norm-1.4e200"),
+]
+
+
+class TestPoses:
+    """``Poses(...)`` holds the pose stream's invariants, and its columns cannot change."""
+
+    @staticmethod
+    def _identity(times):
+        return Poses(np.array(times, dtype=np.int64), np.tile(IDENTITY, (len(times), 1)))
+
+    @pytest.mark.parametrize("pose_t, frame_t, message",
+                             [p for p in _REGRESSIONS if p.id.startswith("pose")])
+    def test_timestamp_regression_raises(self, pose_t, frame_t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._identity(pose_t)
+
+    @pytest.mark.parametrize("index, q, message", _NON_UNIT)
+    def test_non_unit_quaternion_raises(self, index, q, message):
+        quats = np.tile(IDENTITY, (5, 1))
+        quats[index] = q
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Poses(np.arange(5, dtype=np.int64) * 10_000, quats)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1 + sign * d * 1e-3 for sign in (-1, 1)
+                                  for d in (0.9995, 0.9999999, 1, 1.0000001, 1.0005)])
+           | st.floats(1 - 1.002e-3, 1 + 1.002e-3) | st.floats(0.0, 1e300))
+    def test_norm_check_is_the_hypot_rule(self, seed, scale):
+        # The reference: hypot's norm of every row, within 1e-3 of 1.
+        q = random_unit_quat(np.random.default_rng(seed)) * scale
+        norm = np.hypot.reduce(q)
+        quats = np.tile(IDENTITY, (3, 1))
+        quats[1] = q
+        if abs(norm - 1.0) <= 1e-3:
+            assert Poses(np.arange(3), quats).q[1].tobytes() == q.tobytes()
+        else:
+            message = f"pose 1 has norm {norm:.6f} (deviation > 0.001)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Poses(np.arange(3), quats)
+
+    def test_columns_are_read_only_copies(self):
+        t, q = np.array([0, 10_000, 20_000]), np.tile(IDENTITY, (3, 1))
+        poses = Poses(t, q)
+        assert poses.t_us.dtype == np.int64 and poses.q.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            poses.t_us[1] = 30_000
+        with pytest.raises(ValueError, match="read-only"):
+            poses.q[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            poses[0].q[0] = 2.0
+        # The caller's arrays stay writable, and writing them changes no pose.
+        t[1], q[0, 0] = 30_000, 2.0
+        assert poses.t_us.tolist() == [0, 10_000, 20_000] and poses.q[0, 0] == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            poses.t_us = t
+
+    def test_has_no_append(self, tiny_expert_session):
+        assert not hasattr(tiny_expert_session.poses, "append")
+        with pytest.raises(AttributeError):
+            tiny_expert_session.poses.append(PoseSample(10**9, IDENTITY))
+
+    def test_per_sample_view(self, tiny_expert_session):
+        poses = tiny_expert_session.poses
+        samples = list(poses)
+        assert len(samples) == len(poses) > 2
+        for i in (0, 1, len(poses) - 1, -1):
+            assert type(poses[i]) is PoseSample and type(poses[i].t_us) is int
+            assert poses[i].t_us == samples[i].t_us == int(poses.t_us[i])
+            assert np.array_equal(poses[i].q, samples[i].q)
+            assert np.array_equal(poses[i].q, poses.q[i])
+        with pytest.raises(IndexError):
+            poses[len(poses)]
+
+    @pytest.mark.parametrize("t, q", [
+        pytest.param([0, 1], np.tile(IDENTITY, (3, 1)), id="lengths"),
+        pytest.param([0, 1], np.ones((2, 3)), id="three-components"),
+        pytest.param([[0, 1]], np.tile(IDENTITY, (2, 1)), id="two-dimensional-t"),
+    ])
+    def test_bad_shapes_raise(self, t, q):
+        with pytest.raises(ValueError, match="^poses need t_us"):
+            Poses(np.array(t), q)
+
+    def test_session_takes_only_poses(self):
+        with pytest.raises(TypeError, match="^poses must be a Poses, got list$"):
+            Session(SessionMeta("s", "unknown", 1, 100.0, 25.0), [], [])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_write_read_round_trip_is_bit_exact(self, tmp_path_factory, seed, n):
+        rng = np.random.default_rng(seed)
+        poses = pose_columns(smooth_pose_walk(rng, random_stream_times(rng, n, 0, 10_000)))
+        path = tmp_path_factory.mktemp("poses") / "pose.csv"
+        write_pose_csv(path, poses)
+        back = read_pose_csv(path)
+        assert back.t_us.tobytes() == poses.t_us.tobytes()
+        assert back.q.tobytes() == poses.q.tobytes()
+        assert not (back.t_us.flags.writeable or back.q.flags.writeable)
+
+
 class TestSessionInvariants:
     """``Session(...)`` holds what fusion and every metric assume of its streams."""
 
-    # fuse_streams used to fuse the last three without an error, to 11, 4 and 5 samples.
-    @pytest.mark.parametrize("pose_t, frame_t, message", [
-        pytest.param((0, 10_000), (40_000, 20_000, 60_000),
-                     "frame stream: t_us 20000 at index 1 does not advance past 40000",
-                     id="frame-regression"),
-        pytest.param((0, 10_000, 20_000, 15_000, *range(30_000, 110_000, 10_000)),
-                     (0, 40_000, 80_000),
-                     "pose stream: t_us 15000 at index 3 does not advance past 20000",
-                     id="pose-regression"),
-        pytest.param((0, 10_000, 10_000, 20_000, 30_000), (0, 40_000),
-                     "pose stream: t_us 10000 at index 2 does not advance past 10000",
-                     id="pose-duplicate"),
-        pytest.param((0, 10_000, 20_000, 30_000, 40_000), (0, 40_000, 40_000),
-                     "frame stream: t_us 40000 at index 2 does not advance past 40000",
-                     id="frame-duplicate"),
-    ])
+    @pytest.mark.parametrize("pose_t, frame_t, message", _REGRESSIONS)
     def test_timestamp_regression_raises(self, pose_t, frame_t, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_session(_identity_poses(pose_t), [constant_frame(t) for t in frame_t])
 
-    # With pose_policy "nearest", fuse_streams used to copy the norm-2 pose into its grid.
-    @pytest.mark.parametrize("index, q, message", [
-        pytest.param(1, [1.01, 0, 0, 0], r"pose 1 has norm 1\.010000 \(deviation > 0\.001\)",
-                     id="norm-1.01"),
-        pytest.param(4, [2.0, 0, 0, 0], r"pose 4 has norm 2\.000000 \(deviation > 0\.001\)",
-                     id="norm-2"),
-        pytest.param(2, [np.nan, 0, 0, 0], r"pose 2 has norm nan \(deviation > 0\.001\)",
-                     id="norm-nan"),
-        pytest.param(3, [1e200, 1e200, 0, 0],
-                     r"pose 3 has norm 1414[0-9]{197}\.000000 \(deviation > 0\.001\)",
-                     id="norm-1.4e200"),
-    ])
+    @pytest.mark.parametrize("index, q, message", _NON_UNIT)
     def test_non_unit_quaternion_raises(self, index, q, message):
         poses = _identity_poses(range(0, 50_000, 10_000))
         poses[index] = PoseSample(poses[index].t_us, np.array(q))
@@ -489,6 +611,7 @@ class TestSessionInvariants:
     def test_increasing_unit_streams_construct(self, seed, n_poses, n_frames, scale):
         poses, frames = self._streams(seed, n_poses, n_frames)
         poses[-1] = PoseSample(poses[-1].t_us, poses[-1].q * scale)
+        poses = pose_columns(poses)
         session = make_session(poses, frames)
         assert session.poses is poses and session.frames is frames
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -575,3 +698,31 @@ def test_serial_report_memory_does_not_grow_with_frames(tmp_path):
                                   "--out", str(tmp_path / "out")))
     # A frame cache would hold 90 more frames (about 26 MiB) in the long run.
     assert peaks[1] - peaks[0] <= 3 * width * height // 1024
+
+
+def test_pipeline_builds_no_pose_samples(tmp_path, monkeypatch):
+    # Poses stay columns from the generator and the reader through fusion;
+    # PoseSample is only the per-sample view.  Guards the set-up speed of
+    # columnar poses without a timing test.
+    made = []
+    init = PoseSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args[0] if args else kwargs["t_us"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PoseSample, "__init__", counting_init)
+    assert PoseSample(7, IDENTITY).t_us == 7 and made == [7]  # the counter sees one
+    made.clear()
+
+    from scanskill.fusion import ResampleConfig, fuse_streams
+    from scanskill.synth import build_session, expert_profile
+
+    session = build_session(
+        expert_profile(3, frame_width=16, frame_height=12, n_samples_range=(1200, 1200))
+    )
+    write_session(tmp_path, session)
+    poses = read_pose_csv(tmp_path / "pose.csv")
+    fused = fuse_streams(load_session(tmp_path), ResampleConfig())
+    assert len(session.poses) == len(poses) == len(fused) == 1201
+    assert made == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scanskill.core import q_multiply
 from scanskill.features import GlcmConfig, SmoothnessConfig
 from scanskill.fusion import ResampleConfig
-from scanskill.ingest import PoseSample, Session
+from scanskill.ingest import PoseSample, Poses, Session
 from scanskill.skill import (
     ClassifierThresholds,
     SkillReport,
@@ -115,7 +115,7 @@ class TestSessionInvariance:
         session = _small_session(kind, seed)
         shifted = Session(
             session.meta,
-            [PoseSample(p.t_us + shift_us, p.q) for p in session.poses],
+            Poses(session.poses.t_us + shift_us, session.poses.q),
             [_shifted_frame(f, shift_us) for f in session.frames],
             session.synthetic_profile,
         )
@@ -128,7 +128,7 @@ class TestSessionInvariance:
         session = _small_session(kind, seed)
         rotated = Session(
             session.meta,
-            [PoseSample(p.t_us, q_multiply(g, p.q)) for p in session.poses],
+            Poses(session.poses.t_us, q_multiply(g, session.poses.q)),
             session.frames,
             session.synthetic_profile,
         )

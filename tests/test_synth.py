@@ -6,6 +6,7 @@ import pytest
 
 from scanskill.core import q_geodesic_angle
 from scanskill.features import GlcmConfig, frame_features
+from scanskill.fusion import _interpolate_on_grid
 from scanskill.ingest import load_session, validate_session
 from scanskill.skill import build_report
 from scanskill.synth import (
@@ -28,7 +29,7 @@ SMALL = dict(frame_width=48, frame_height=36)
 
 def _step_angles(poses):
     return np.array(
-        [q_geodesic_angle(a.q, b.q) for a, b in zip(poses, poses[1:])]
+        [q_geodesic_angle(a, b) for a, b in zip(poses.q, poses.q[1:])]
     )
 
 
@@ -142,6 +143,39 @@ class TestPhantomFrames:
         a = gen_phantom_frame(self.TARGET, self.TARGET, (32, 32), seed=9)
         b = gen_phantom_frame(self.TARGET, self.TARGET, (32, 32), seed=9)
         assert np.array_equal(a.pixels, b.pixels)
+
+
+class TestFrameContrasts:
+    """``build_session`` computes every frame's contrast in one vectorised pass;
+    ``gen_phantom_frame`` on the slerped frame pose is the oracle."""
+
+    @staticmethod
+    def _assert_oracle_contrasts(session, profile):
+        frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
+        frame_q = _interpolate_on_grid(session.poses.t_us, session.poses.q, frame_t, "slerp")
+        geometry = (profile.frame_width, profile.frame_height)
+        target = profile.resolved_target()
+        for frame, q in zip(session.frames, frame_q):
+            oracle = gen_phantom_frame(q, target, geometry, profile.seed, t_us=frame.t_us)
+            assert frame._contrast.tobytes() == oracle._contrast.tobytes(), frame.t_us
+            assert frame._field is oracle._field
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("profile_fn", [expert_profile, novice_profile])
+    @pytest.mark.parametrize("frame_rate_hz", [25.0, 30.0])  # at 30 Hz frames fall between poses
+    def test_contrasts_equal_gen_phantom_frame(self, profile_fn, seed, frame_rate_hz):
+        profile = profile_fn(seed, **SMALL, frame_rate_hz=frame_rate_hz)
+        session = build_session(profile)
+        assert len(session.frames) > 400
+        self._assert_oracle_contrasts(session, profile)
+
+    @pytest.mark.parametrize("profile_fn", [expert_profile, novice_profile])
+    def test_idle_tail_contrasts_equal_gen_phantom_frame(self, profile_fn):
+        profile = profile_fn(5, **SMALL, n_samples_range=(400, 600))
+        session = build_session(profile)
+        longer = extend_with_idle(session, 3.0)
+        assert len(longer.frames) == len(session.frames) + 75
+        self._assert_oracle_contrasts(longer, profile)
 
 
 class TestGaussianBlur:
