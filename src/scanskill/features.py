@@ -23,12 +23,15 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_multiply
-from .ingest import Frame, Session, _uint8_pixels, _write_csv
+from .ingest import Frame, Poses, Session, _uint8_pixels, _write_csv
+
+if TYPE_CHECKING:
+    from .fusion import FusedGrid
 
 __all__ = [
     "FeatureTable",
@@ -101,6 +104,16 @@ def _is_int_seq(value, n: int) -> bool:
 
 
 class TextureFeatures(NamedTuple):
+    """Texture of one normalized co-occurrence matrix P.
+
+    ``asm`` is the angular second moment ``sum P^2``, feature f1 of
+    Haralick, Shanmugam & Dinstein, "Textural features for image
+    classification" (IEEE Trans. SMC 3(6), 1973).  ``energy`` is
+    ``sqrt(asm)``: Haralick et al. define no energy, and later usage varies
+    (some libraries call f1 itself energy).  ``homogeneity`` is
+    ``sum P/(1+(i-j)^2)``, their f5, the inverse difference moment.
+    """
+
     asm: float
     energy: float
     homogeneity: float
@@ -234,7 +247,10 @@ def _homogeneity_weights(levels: int) -> np.ndarray:
 
 
 def texture_features(P: np.ndarray) -> TextureFeatures:
-    """ASM, energy, homogeneity of one normalized co-occurrence matrix."""
+    """ASM, energy, homogeneity of one normalized co-occurrence matrix.
+
+    As defined by Haralick et al. (1973); see :class:`TextureFeatures`.
+    """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("co-occurrence matrix must be square")
@@ -381,19 +397,19 @@ def _compile_kernel(path: Path) -> None:
 # ---------------------------------------------------------------------------
 # motion
 
-def angular_velocity(fused: Sequence, delta_t_us: int) -> MotionSeries:
-    """Body-frame angular velocity between consecutive fused grid poses.
+def angular_velocity(fused: FusedGrid | Poses, delta_t_us: int) -> MotionSeries:
+    """Body-frame angular velocity between consecutive grid poses, from the
+    ``t_us`` and ``q`` columns of a fused grid (or of a pose stream).
 
     ``omega_k = 2 * log(q_k^-1 ⊗ q_{k+1}) / dt`` with the quaternion log
     mapping a rotation of angle theta about unit axis n to (theta/2)·n.
     Inputs must be hemisphere-aligned and on a uniform grid.
     """
-    if len(fused) < 2:
+    t, q = fused.t_us, fused.q
+    if len(t) < 2:
         raise ValueError("need at least 2 fused samples")
-    t = np.array([s.t_us for s in fused], dtype=np.int64)
     if np.any(np.diff(t) != delta_t_us):
         raise ValueError("non-uniform grid")
-    q = np.stack([s.q for s in fused])
     rel = q_multiply(q_inverse(q[:-1]), q[1:])
     w = rel[:, 0]
     vec = rel[:, 1:]
@@ -407,11 +423,11 @@ def angular_velocity(fused: Sequence, delta_t_us: int) -> MotionSeries:
     return MotionSeries(t_us=t[1:], omega=omega, speed=speed)
 
 
-def path_length(fused: Sequence) -> float:
-    """Total geodesic angle swept along the sequence, in radians."""
-    if len(fused) < 2:
+def path_length(fused: FusedGrid | Poses) -> float:
+    """Total geodesic angle swept along the ``q`` column, in radians."""
+    q = fused.q
+    if len(q) < 2:
         raise ValueError("need at least 2 samples")
-    q = np.stack([s.q for s in fused])
     return float(np.sum(q_geodesic_angle(q[:-1], q[1:])))
 
 
@@ -437,6 +453,9 @@ def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
     twice (central differences, one-sided at the boundaries), and ``T`` is
     the series duration, as in Balasubramanian, Melendez-Calderon & Burdet
     (IEEE TBME 59(8), 2012) and Balasubramanian et al. (JNER 12:112, 2015).
+    ``T = (n - 1)·dt``: the movement runs from the first speed sample to the
+    last, and n samples on a uniform grid span n - 1 steps, so ``n·dt``
+    would count a step past the last sample that no speed was recorded in.
     Invariant under positive scaling of the speed and, up to the
     discretisation, of the duration; more negative means jerkier.  Raises
     ValueError when ``v_peak^2`` or the cost leaves floating-point range.
@@ -533,7 +552,7 @@ FEATURES_HEADER = ",".join(
 )
 
 
-def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) -> FeatureTable:
+def compute_feature_table(session: Session, fused: FusedGrid, cfg: GlcmConfig) -> FeatureTable:
     """Texture + histogram per grid instant, motion per grid step.
 
     Frame features are computed once per distinct pixel source
@@ -545,11 +564,9 @@ def compute_feature_table(session: Session, fused: Sequence, cfg: GlcmConfig) ->
     each process holds at most two frames' pixels at a time.  Large
     sessions compute the features in a process pool, with identical results.
     """
-    n = len(fused)
-    t_us = np.array([s.t_us for s in fused], dtype=np.int64)
-    frame_idx = np.array([-1 if s.frame_idx is None else s.frame_idx for s in fused], np.int64)
-    has_frame = frame_idx >= 0
-    distinct, inverse = np.unique(frame_idx[has_frame], return_inverse=True)
+    n, t_us = len(fused), fused.t_us
+    has_frame = fused.frame_idx >= 0
+    distinct, inverse = np.unique(fused.frame_idx[has_frame], return_inverse=True)
     first: dict[tuple, int] = {}  # pixel source -> first frame index reading it
     owner = [first.setdefault(session.frames[i].source, i) for i in distinct.tolist()]
     sources, source_of = np.unique(np.array(owner, np.int64), return_inverse=True)
@@ -673,11 +690,11 @@ def write_features_csv(path: str | Path, table: FeatureTable) -> None:
     _write_csv(path, FEATURES_HEADER, ([t, *row] for t, row in zip(table.t_us.tolist(), values)))
 
 
-def write_plot_csv(path: str | Path, fused: Sequence, table: FeatureTable) -> None:
+def write_plot_csv(path: str | Path, fused: FusedGrid, table: FeatureTable) -> None:
     """Write ``plot.csv``: ``t_us,series,value`` rows of each ``FRAME_COLUMNS`` column of
     ``table``, then of ``qw``..``qz`` of ``fused``, its grid; a NaN value has no row."""
     series = {name: getattr(table, name) for name in FRAME_COLUMNS}
-    series.update(zip(("qw", "qx", "qy", "qz"), np.array([s.q for s in fused]).reshape(-1, 4).T))
+    series.update(zip(("qw", "qx", "qy", "qz"), fused.q.T))
     t_us = table.t_us.tolist()
     rows = (
         (t, name, value)

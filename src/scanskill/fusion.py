@@ -15,9 +15,9 @@ Disjoint streams are an error.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import check_int, q_normalize
 from .ingest import PoseSample, Session, _write_csv
 
 __all__ = [
+    "FusedGrid",
     "FusedSample",
     "ResampleConfig",
     "StreamingFuser",
@@ -33,8 +34,6 @@ __all__ = [
     "slerp",
     "write_fused_csv",
 ]
-
-FUSED_HEADER = "t_us,w,x,y,z,frame_idx,staleness_us"
 
 # Below this quaternion-space angle SLERP degrades to normalized lerp;
 # the two agree to O(angle^2) there and lerp avoids the 0/0.
@@ -65,12 +64,61 @@ class ResampleConfig:
 
 
 class FusedSample(NamedTuple):
-    """One record on the fused grid."""
+    """One grid instant, as :class:`StreamingFuser` gives it and as a :class:`FusedGrid` row."""
 
     t_us: int
     q: np.ndarray  # (4,), unit
     frame_idx: int | None
     frame_staleness_us: int | None
+
+
+def _fused_sample(t_us: int, q: np.ndarray, frame_idx: int, staleness_us: int) -> FusedSample:
+    if frame_idx < 0:
+        return FusedSample(t_us, q, None, None)
+    return FusedSample(t_us, q, frame_idx, staleness_us)
+
+
+@dataclass(frozen=True)
+class FusedGrid:
+    """The fused grid as read-only columns, one row per grid instant.
+
+    ``t_us`` (n,) int64, ``q`` (n, 4) float64 unit and hemisphere-aligned,
+    ``frame_idx`` (n,) int64 with -1 where no frame lies within the staleness
+    window, and ``staleness_us`` (n,) int64, 0 where ``frame_idx`` is -1.
+    Construction copies the columns and checks their shapes.  ``len``,
+    indexing and iteration give :class:`FusedSample` views.
+    """
+
+    t_us: np.ndarray
+    q: np.ndarray
+    frame_idx: np.ndarray
+    staleness_us: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = np.size(self.t_us)
+        for f in fields(self):
+            is_q = f.name == "q"
+            col = np.array(getattr(self, f.name), dtype=np.float64 if is_q else np.int64)
+            if col.shape != ((n, 4) if is_q else (n,)):
+                raise ValueError(f"fused column {f.name} has shape {col.shape} for {n} instants")
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    def __getitem__(self, i: int) -> FusedSample:
+        return _fused_sample(
+            int(self.t_us[i]), self.q[i], int(self.frame_idx[i]), int(self.staleness_us[i])
+        )
+
+    def __iter__(self) -> Iterator[FusedSample]:
+        return map(_fused_sample, self.t_us.tolist(), self.q, self.frame_idx.tolist(),
+                   self.staleness_us.tolist())
+
+
+# The fused.csv header: FusedGrid's fields, q as one column per component.
+FUSED_HEADER = ",".join("w,x,y,z" if f.name == "q" else f.name for f in fields(FusedGrid))
 
 
 def hemisphere_align(q: np.ndarray) -> np.ndarray:
@@ -169,7 +217,7 @@ def _associate_frames(
     return idx, staleness
 
 
-def fuse_streams(session: Session, cfg: ResampleConfig) -> list[FusedSample]:
+def fuse_streams(session: Session, cfg: ResampleConfig) -> FusedGrid:
     """Fuse a session's pose and frame streams onto the uniform grid."""
     if len(session.poses) < 2:
         raise ValueError("cannot interpolate")
@@ -195,7 +243,7 @@ def _fuse_span(
     last_t: int,
     cfg: ResampleConfig,
     frame_offset: int = 0,
-) -> list[FusedSample]:
+) -> FusedGrid:
     """Fuse the grid instants ``first_t + k·delta_t_us <= last_t``.
 
     ``frame_offset`` is the session index of ``frame_t[0]``.
@@ -212,17 +260,14 @@ def _fuse_span(
         ) from exc
     out_q = _interpolate_on_grid(pose_t, quats, grid, cfg.pose_policy)
     f_idx, f_stale = _associate_frames(frame_t, grid, cfg)
-    return [
-        FusedSample(int(t), q, int(i) + frame_offset, int(s))
-        if i >= 0
-        else FusedSample(int(t), q, None, None)
-        for t, q, i, s in zip(grid, out_q, f_idx, f_stale)
-    ]
+    f_idx[f_idx >= 0] += frame_offset
+    return FusedGrid(grid, out_q, f_idx, f_stale)
 
 
-def write_fused_csv(path: str | Path, fused: Iterable[FusedSample]) -> None:
-    """Write fused samples as CSV (``frame_idx``/staleness empty when none)."""
-    rows = ([s.t_us, *s.q.tolist(), s.frame_idx, s.frame_staleness_us] for s in fused)
+def write_fused_csv(path: str | Path, fused: FusedGrid) -> None:
+    """Write the fused grid as CSV; ``frame_idx`` and staleness are empty where it is -1."""
+    columns = (getattr(fused, f.name).tolist() for f in fields(fused))
+    rows = ([t, *q, i, s] if i >= 0 else [t, *q, None, None] for t, q, i, s in zip(*columns))
     _write_csv(path, FUSED_HEADER, rows)
 
 
@@ -300,9 +345,9 @@ class StreamingFuser:
             end_t = min(end_t, frame_t[-1] - cfg.max_frame_staleness_us)
         if end_t < self._next_t:
             return []
-        out = _fuse_span(
+        out = list(_fuse_span(
             pose_t, np.stack(self._quats), frame_t, self._next_t, end_t, cfg, self._dropped_frames
-        )
+        ))
         self._next_t = out[-1].t_us + cfg.delta_t_us
         # Keep the bracketing pose pair of the next instant and everything later.
         drop = min(bisect.bisect_right(pose_t, self._next_t) - 1, len(pose_t) - 2)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .features import FeatureTable, GlcmConfig, SmoothnessConfig
-    from .fusion import FusedSample, ResampleConfig
+    from .fusion import FusedGrid, ResampleConfig
     from .ingest import Session
 
 __all__ = [
@@ -94,7 +94,7 @@ def build_report(
 
 def report_from_table(
     session_id: str,
-    fused: Sequence[FusedSample],
+    fused: FusedGrid,
     table: FeatureTable,
     fuse_cfg: ResampleConfig,
     smoothness: SmoothnessConfig,

@@ -312,9 +312,11 @@ def _gaussian_blur(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.nda
         n = line.shape[0]
         pad = np.pad(line, [(radius, radius)] + [(0, 0)] * (line.ndim - 1), mode="symmetric")
         out = line * weights[radius]
+        tap = np.empty_like(out)  # one scratch array for every tap, not two temporaries each
         for j in range(radius, 0, -1):
-            left, right = pad[radius - j : radius - j + n], pad[radius + j : radius + j + n]
-            out += (left + right) * weights[radius - j]
+            np.add(pad[radius - j : radius - j + n], pad[radius + j : radius + j + n], out=tap)
+            tap *= weights[radius - j]
+            out += tap
         x = np.moveaxis(out, 0, axis)
     return x
 

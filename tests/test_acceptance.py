@@ -28,7 +28,7 @@ from scanskill.features import (
     texture_features,
 )
 from scanskill.fusion import ResampleConfig, fuse_streams, slerp
-from scanskill.ingest import PoseSample, load_session, validate_session, write_session
+from scanskill.ingest import Poses, load_session, validate_session, write_session
 from scanskill.skill import build_report, calibrate_thresholds, classify
 from scanskill.synth import (
     build_session,
@@ -194,10 +194,9 @@ def test_acceptance_5_resampler_grid_properties():
 
         fine = fuse_poses(session.poses, ResampleConfig(delta_t_us=8_000))
         coarse = fuse_poses(session.poses, ResampleConfig(delta_t_us=16_000))
-        assert len(fine[::2]) == len(coarse)
-        for a, b in zip(fine[::2], coarse):
-            assert a.t_us == b.t_us
-            assert np.max(np.abs(a.q - b.q)) <= 1e-9
+        assert len(fine.t_us[::2]) == len(coarse)
+        assert np.array_equal(fine.t_us[::2], coarse.t_us)
+        assert np.max(np.abs(fine.q[::2] - coarse.q)) <= 1e-9
     _passed(5, "resampler grid properties, 50 seeded sessions")
 
 
@@ -223,7 +222,7 @@ def test_acceptance_6_motion_metric_invariances():
     rng = np.random.default_rng(6)
 
     def grid(qs):
-        return [PoseSample(k * 10_000, q) for k, q in enumerate(qs)]
+        return Poses(10_000 * np.arange(len(qs)), qs)
 
     # Left-invariance and time-reversal of angular velocity.
     for _ in range(10):

@@ -778,6 +778,19 @@ class TestNumericExtremes:
                 elif min(v) >= 0:
                     assert err == [f"error: roi out of bounds: {tuple(v)} in a 16x12 frame"], err
 
+    def test_one_microsecond_grid(self, tmp_path):
+        # delta_t_us 1 over a 0.25 s session: a grid of 250,001 instants.
+        session = _write_random_session(tmp_path / "s", 2, 26, 10_000, 40_000)
+        out = tmp_path / "out"
+        expected = {"fuse": f"wrote {out / 'fused.csv'} (250001 samples)",
+                    "report": f"wrote {out / 'report.json'}"}
+        for command, wrote in expected.items():
+            code, err = _run([command, "--session", str(session), "--out", str(out),
+                              "--delta-t-us", "1"])
+            assert (code, err) == (0, [wrote])
+        assert len((out / "fused.csv").read_text().splitlines()) == 1 + 250_001
+        assert json.loads((out / "report.json").read_text())["n_samples"] == 250_001
+
 
 class TestProperties:
     @pytest.fixture(scope="class")

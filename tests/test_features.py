@@ -30,7 +30,7 @@ from scanskill.features import (
     texture_features,
 )
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import Frame, PoseSample, load_session
+from scanskill.ingest import Frame, PoseSample, Poses, load_session
 
 from conftest import (
     IDENTITY,
@@ -492,7 +492,7 @@ class TestArrayInput:
 # --- motion ------------------------------------------------------------------
 
 def _grid_poses(quats, dt_us=10_000):
-    return [PoseSample(k * dt_us, q) for k, q in enumerate(quats)]
+    return Poses(dt_us * np.arange(len(quats)), quats)
 
 
 class TestAngularVelocity:
@@ -526,14 +526,10 @@ class TestAngularVelocity:
         m_fwd = angular_velocity(_grid_poses(quats), 10_000)
         m_rev = angular_velocity(_grid_poses(quats[::-1]), 10_000)
         assert np.max(np.abs(m_rev.omega + m_fwd.omega[::-1])) <= 1e-9
-        assert abs(path_length(poses) - path_length(poses[::-1])) <= 1e-9
+        assert abs(path_length(_grid_poses(quats)) - path_length(_grid_poses(quats[::-1]))) <= 1e-9
 
     def test_non_uniform_grid_rejected(self):
-        fused = [
-            PoseSample(0, IDENTITY.copy()),
-            PoseSample(10_000, IDENTITY.copy()),
-            PoseSample(25_000, IDENTITY.copy()),
-        ]
+        fused = Poses([0, 10_000, 25_000], [IDENTITY] * 3)
         with pytest.raises(ValueError, match="non-uniform grid"):
             angular_velocity(fused, 10_000)
 
@@ -570,6 +566,16 @@ class TestSmoothSpeed:
         rng = np.random.default_rng(10)
         v = rng.random(50)
         np.testing.assert_allclose(smooth_speed(2.5 * v, 5), 2.5 * smooth_speed(v, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=300), window=st.integers(1, 40))
+    def test_non_negative_speed_stays_non_negative(self, v, window):
+        # Then |V(f)| <= V(0) for its spectrum, so SPARC's division by the
+        # zero-frequency magnitude divides by the spectrum's maximum.
+        out = smooth_speed(np.array(v), window)
+        assert np.all(out >= 0.0)
+        magnitude = np.abs(np.fft.rfft(out, 16 * out.size))
+        assert np.all(magnitude <= magnitude[0] * (1 + 1e-12))
 
 
 class TestLdlj:
