@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_multiply
-from .ingest import Frame, Poses, Session, _uint8_pixels, _write_csv
+from .ingest import Frame, Poses, Session, _read, _uint8_pixels, _write_csv
 
 if TYPE_CHECKING:
     from .fusion import FusedGrid
@@ -555,25 +555,23 @@ FEATURES_HEADER = ",".join(
 def compute_feature_table(session: Session, fused: FusedGrid, cfg: GlcmConfig) -> FeatureTable:
     """Texture + histogram per grid instant, motion per grid step.
 
-    Frame features are computed once per distinct pixel source
-    (:attr:`Frame.source`, equal only for frames that read equal pixels) and
-    shared by every grid instant whose frame reads it.  The sources are
-    visited in frame order, and a run of sources whose pixels are equal,
-    byte for byte, to the one before is featurised once, so a still probe
-    costs one GLCM per run; every source is still decoded or rendered, and
-    each process holds at most two frames' pixels at a time.  Large
-    sessions compute the features in a process pool, with identical results.
+    Frame features are computed once per pixel source of
+    ``session.frames`` that a grid instant reads, and shared by every grid
+    instant whose frame reads it.  The sources are visited in index order,
+    and a run of sources whose pixels are equal, byte for byte, to the one
+    before is featurised once, so a still probe costs one GLCM per run;
+    every source is still decoded or rendered, and each process holds at
+    most two sources' pixels at a time.  Large sessions compute the
+    features in a process pool, with identical results.
     """
     n, t_us = len(fused), fused.t_us
     has_frame = fused.frame_idx >= 0
-    distinct, inverse = np.unique(fused.frame_idx[has_frame], return_inverse=True)
-    first: dict[tuple, int] = {}  # pixel source -> first frame index reading it
-    owner = [first.setdefault(session.frames[i].source, i) for i in distinct.tolist()]
-    sources, source_of = np.unique(np.array(owner, np.int64), return_inverse=True)
-    rows = _distinct_frame_features(session.frames, sources.tolist(), cfg)
+    source = session.frames.source[fused.frame_idx[has_frame]]
+    used, inverse = np.unique(source, return_inverse=True)
+    rows = _distinct_frame_features(session.frames.sources, used.tolist(), cfg)
     per_source = np.array(rows).reshape(-1, len(FRAME_COLUMNS))
     frame_columns = np.full((len(FRAME_COLUMNS), n), np.nan)
-    frame_columns[:, has_frame] = per_source[source_of[inverse]].T
+    frame_columns[:, has_frame] = per_source[inverse].T
     omega, speed = np.full((n, 3), np.nan), np.full(n, np.nan)
     if n >= 2:
         motion = angular_velocity(fused, int(t_us[1] - t_us[0]))
@@ -592,13 +590,13 @@ _POOL_MIN_PIXELS = 1 << 24
 # near the end leaves little idle time on the other workers.
 _CHUNKS_PER_WORKER = 8
 
-# Set in each pool worker by _init_worker: (frames, cfg) inherited by fork.
-_worker_job: tuple[Sequence[Frame], GlcmConfig] | None = None
+# Set in each pool worker by _init_worker: (sources, cfg) inherited by fork.
+_worker_job: tuple[Sequence, GlcmConfig] | None = None
 
 
-def _pool_workers(frames: Sequence[Frame], indices: Sequence[int]) -> int:
-    """How many worker processes to use for ``frames[indices]``; <= 1 means serial."""
-    pixels = sum(frames[i].width * frames[i].height for i in indices)
+def _pool_workers(sources: Sequence, indices: Sequence[int]) -> int:
+    """How many worker processes to use for ``sources[indices]``; <= 1 means serial."""
+    pixels = sum(math.prod(sources[i].shape) for i in indices)
     if (
         pixels < _POOL_MIN_PIXELS
         or "fork" not in multiprocessing.get_all_start_methods()
@@ -614,19 +612,19 @@ def _pool_workers(frames: Sequence[Frame], indices: Sequence[int]) -> int:
 
 
 def _frame_rows(
-    frames: Sequence[Frame], indices: Sequence[int], cfg: GlcmConfig
+    sources: Sequence, indices: Sequence[int], cfg: GlcmConfig
 ) -> list[tuple[float, ...]]:
-    """``_frame_row`` of each ``frames[i]``, in the order of ``indices``.
+    """``_frame_row`` of the pixels of each ``sources[i]``, in the order of ``indices``.
 
-    Every frame is decoded or rendered; one whose pixels equal the previous
+    Every source is decoded or rendered; one whose pixels equal the previous
     one's reuses that row instead of calling :func:`frame_features` again.
-    At most two frames' pixels are held at a time, the current and the
+    At most two sources' pixels are held at a time, the current and the
     previous one.
     """
     rows: list[tuple[float, ...]] = []
     previous = None
     for i in indices:
-        pixels = frames[i].pixels
+        pixels = _read(sources[i])
         if previous is None or not np.array_equal(pixels, previous):
             row = _frame_row(pixels, cfg)
         rows.append(row)
@@ -647,21 +645,21 @@ def _frame_row(pixels: np.ndarray, cfg: GlcmConfig) -> tuple[float, ...]:
 
 
 def _distinct_frame_features(
-    frames: Sequence[Frame], indices: Sequence[int], cfg: GlcmConfig
+    sources: Sequence, indices: Sequence[int], cfg: GlcmConfig
 ) -> list[tuple[float, ...]]:
-    """``_frame_rows(frames, indices, cfg)``, serially or in a process pool.
+    """``_frame_rows(sources, indices, cfg)``, serially or in a process pool.
 
     Large sessions are spread over a fork process pool, one worker per CPU
     this process may run on, each taking contiguous chunks of ``indices``
-    (a run of equal frames cut by a chunk boundary is featurised once per
-    chunk).  The workers inherit ``frames`` and ``cfg`` through the fork and
-    decode on-disk frames, or render synthetic ones, themselves, so the
-    caller never holds the session's pixels.  A worker that dies raises
+    (a run of equal sources cut by a chunk boundary is featurised once per
+    chunk).  The workers inherit ``sources`` and ``cfg`` through the fork
+    and decode files, or render phantoms, themselves, so the caller never
+    holds the session's pixels.  A worker that dies raises
     ``concurrent.futures.BrokenExecutor`` here.
     """
-    workers = _pool_workers(frames, indices)
+    workers = _pool_workers(sources, indices)
     if workers <= 1:
-        return _frame_rows(frames, indices, cfg)
+        return _frame_rows(sources, indices, cfg)
     _kernel()  # loaded, or built, once here; the workers inherit it through the fork
     chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
     chunks = [indices[k : k + chunksize] for k in range(0, len(indices), chunksize)]
@@ -669,19 +667,19 @@ def _distinct_frame_features(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(frames, cfg),
+        initargs=(sources, cfg),
     ) as pool:
         return [row for rows in pool.map(_worker_frame_rows, chunks) for row in rows]
 
 
-def _init_worker(frames: Sequence[Frame], cfg: GlcmConfig) -> None:
+def _init_worker(sources: Sequence, cfg: GlcmConfig) -> None:
     global _worker_job
-    _worker_job = (frames, cfg)
+    _worker_job = (sources, cfg)
 
 
 def _worker_frame_rows(indices: Sequence[int]) -> list[tuple[float, ...]]:
-    frames, cfg = _worker_job
-    return _frame_rows(frames, indices, cfg)
+    sources, cfg = _worker_job
+    return _frame_rows(sources, indices, cfg)
 
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:

@@ -221,14 +221,10 @@ def fuse_streams(session: Session, cfg: ResampleConfig) -> FusedGrid:
     """Fuse a session's pose and frame streams onto the uniform grid."""
     if len(session.poses) < 2:
         raise ValueError("cannot interpolate")
-    if not session.frames:
+    pose_t, frame_t = session.poses.t_us, session.frames.t_us
+    if not frame_t.size or frame_t[0] > pose_t[-1] or pose_t[0] > frame_t[-1]:
         raise ValueError("streams do not overlap in time")
-    pose_t = session.poses.t_us
     quats = hemisphere_align(session.poses.q)
-    frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
-
-    if frame_t[0] > pose_t[-1] or pose_t[0] > frame_t[-1]:
-        raise ValueError("streams do not overlap in time")
 
     start = max(int(pose_t[0]), int(frame_t[0]))
     origin = int(pose_t[np.searchsorted(pose_t, start, side="left")])

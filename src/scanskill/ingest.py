@@ -10,6 +10,11 @@ On-disk layout of one session directory::
 ``pose.csv`` quaternions are Hamilton scalar-first (see
 :mod:`scanskill.core`); adapters for sensors using other conventions must
 convert before writing this format.
+
+In memory both streams are read-only columns: :class:`Poses` of times and
+quaternions, :class:`Frames` of times and pixel source indices.  A source is
+one PGM file (its header parsed once, at load), one held pixel array or one
+synthetic phantom, shared by every frame that reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +33,8 @@ from .core import INT64_MAX, SessionMeta, q_normalize
 
 __all__ = [
     "Frame",
+    "Frames",
+    "PgmFile",
     "PoseSample",
     "Poses",
     "Session",
@@ -77,56 +84,78 @@ def _uint8_pixels(pixels) -> np.ndarray:
     return pixels
 
 
+def _read(source) -> np.ndarray:
+    """A pixel source's (height, width) uint8 pixels: a held array itself, else read now."""
+    return source if isinstance(source, np.ndarray) else source.read()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Frame:
-    """One timestamped 8-bit grayscale ultrasound frame.
+    """One frame of a :class:`Frames`.  ``pixels`` is its (height, width) uint8
+    array: a held array as it is, else decoded or rendered on each access."""
 
-    ``pixels`` is a ``(height, width)`` uint8 array.  A frame referenced
-    from disk decodes its file on every access and keeps nothing, as does a
-    synthetic frame (``scanskill.synth``), which renders on every access, so
-    a caller visiting each frame once holds one frame's pixels at a time.
+    t_us: int
+    _source: object
 
-    ``source`` is equal for two frames only when they are sure to read the
-    same pixels: one file, one held array, or one synthetic field and contrast.
+    width = property(lambda self: self._source.shape[1])
+    height = property(lambda self: self._source.shape[0])
+    pixels = property(lambda self: _read(self._source))
+
+
+class PgmFile(NamedTuple):
+    """A PGM file as a pixel source; :meth:`read` decodes it with one read and
+    raises if the header is not the one seen at load or the raster is short."""
+
+    path: Path
+    shape: tuple[int, int]  # (height, width)
+    header: bytes
+
+    def read(self) -> np.ndarray:
+        n, size = len(self.header), self.shape[0] * self.shape[1]
+        with open(self.path, "rb") as fh:
+            data = fh.read(n + size)
+        if not data.startswith(self.header):
+            raise ValueError(f"frame geometry changed: {self.path}")
+        if len(data) < n + size:
+            raise ValueError(f"truncated raster in {self.path}")
+        return np.frombuffer(data, dtype=np.uint8, offset=n).reshape(self.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """A frame stream as read-only columns over shared pixel sources.
+
+    ``t_us`` (m,) int64 strictly increases, else ValueError names the first
+    offending index.  ``source`` (m,) int64 indexes ``sources``, one per
+    distinct pixel data: a held 2-D array (cast to uint8), a :class:`PgmFile`
+    or a synthetic phantom.  Indexing and iteration give :class:`Frame` views.
     """
 
-    __slots__ = ("t_us", "width", "height", "_pixels", "_path")
+    t_us: np.ndarray
+    source: np.ndarray
+    sources: tuple
 
-    def __init__(
-        self,
-        t_us: int,
-        width: int,
-        height: int,
-        pixels: np.ndarray | None = None,
-        path: Path | None = None,
-    ) -> None:
-        if pixels is None and path is None:
-            raise ValueError("frame needs pixel data or a backing file")
-        if pixels is not None:
-            pixels = _uint8_pixels(pixels)
-            if pixels.shape != (height, width):
-                raise ValueError("pixel buffer does not match frame geometry")
-        self.t_us = t_us
-        self.width = width
-        self.height = height
-        self._pixels = pixels
-        self._path = path
+    def __post_init__(self) -> None:
+        t = np.array(self.t_us, dtype=np.int64)
+        source = np.array(self.source, dtype=np.int64)
+        sources = tuple(s if hasattr(s, "read") else _uint8_pixels(s) for s in self.sources)
+        if t.ndim != 1 or source.shape != t.shape or any(len(s.shape) != 2 for s in sources):
+            raise ValueError("frames need t_us (m,), source (m,) and 2-D sources")
+        if source.size and not 0 <= source.min() <= source.max() < len(sources):
+            raise ValueError(f"frame source index outside 0..{len(sources) - 1}")
+        _check_advancing("frame", t)
+        t.flags.writeable = source.flags.writeable = False
+        for name, value in (("t_us", t), ("source", source), ("sources", sources)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def pixels(self) -> np.ndarray:
-        if self._pixels is not None:
-            return self._pixels
-        w, h, data = read_pgm(self._path)
-        if (w, h) != (self.width, self.height):
-            raise ValueError(f"frame geometry changed: {self._path}")
-        return data
+    def __len__(self) -> int:
+        return len(self.t_us)
 
-    @property
-    def source(self) -> tuple:
-        """The held array (alive while the frame is, so its id is unique), else the file."""
-        return ("path", self._path) if self._pixels is None else ("array", id(self._pixels))
+    def __getitem__(self, i: int) -> Frame:
+        return Frame(int(self.t_us[i]), self.sources[self.source[i]])
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Frame(t_us={self.t_us}, {self.width}x{self.height})"
+    def __iter__(self) -> Iterator[Frame]:
+        return map(Frame, self.t_us.tolist(), map(self.sources.__getitem__, self.source.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,20 +202,19 @@ class Poses:
 class Session:
     """A full recorded session: metadata plus both sensor streams.
 
-    ``poses`` holds its own invariants (see :class:`Poses`).  Construction
-    checks that frame ``t_us`` strictly increases, naming the index of the
-    first offending frame in a ValueError.  Either stream may be empty.
+    Each stream holds its own invariants (see :class:`Poses` and
+    :class:`Frames`); either may be empty.
     """
 
     meta: SessionMeta
     poses: Poses
-    frames: list[Frame]
+    frames: Frames
     synthetic_profile: dict | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.poses, Poses):
-            raise TypeError(f"poses must be a Poses, got {type(self.poses).__name__}")
-        _check_advancing("frame", np.array([f.t_us for f in self.frames], dtype=np.int64))
+        for name, kind in (("poses", Poses), ("frames", Frames)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_advancing(name: str, t: np.ndarray) -> None:
@@ -290,50 +318,51 @@ def write_pose_csv(path: str | Path, poses: Poses) -> None:
 
 def read_pgm(path: str | Path) -> tuple[int, int, np.ndarray]:
     """Read a binary PGM (P5, maxval 255). Returns (width, height, pixels)."""
-    with open(path, "rb") as fh:
-        width, height = _read_pgm_header(fh, path)
-        raster = fh.read(width * height)
-    return width, height, np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    pgm = _read_pgm_header(path)
+    return pgm.shape[1], pgm.shape[0], pgm.read()
 
 
-def _read_pgm_header(fh: IO[bytes], path) -> tuple[int, int]:
-    """Parse a P5 header, leaving ``fh`` at the first raster byte.
+def _read_pgm_header(path) -> PgmFile:
+    """Parse and check the P5 header of the file at ``path``, as a :class:`PgmFile`.
 
-    Returns (width, height).  The header is read byte by byte, so ``#``
-    comments of any length are accepted and the raster is never read.  A
-    file shorter than the raster the header claims raises ValueError.
+    The header is read byte by byte, so ``#`` comments of any length are
+    accepted and the raster is never read.  A file shorter than the raster
+    the header claims raises ValueError.
     """
-    fields: list[bytes] = []
-    token = bytearray()
-    while len(fields) < 4:
-        c = fh.read(1)
-        if c and not c.isspace() and not (c == b"#" and not token):
-            token += c
-            continue
-        # A token ends at one whitespace byte; after maxval that byte is the
-        # single separator before the raster.
-        if token:
-            fields.append(bytes(token))
-            token.clear()
-            if len(fields) == 1 and fields[0] != b"P5":
-                raise ValueError(f"unsupported PGM magic {fields[0]!r} in {path}")
-        elif not c:
-            raise ValueError(f"truncated PGM header in {path}")
-        elif c == b"#":
-            fh.readline()  # comment runs to the end of the line
-    for f in fields[1:]:
-        # ASCII digits only: int() also takes "+255" and "1_0", and its errors name no file.
-        if not (f.isdigit() and len(f) <= 19):
-            raise ValueError(f"bad PGM header field {f[:20]!r} in {path}")
-    width, height, maxval = (int(f) for f in fields[1:])
-    if maxval != 255:
-        raise ValueError(f"unsupported depth (maxval {maxval}) in {path}")
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad dimensions {width}x{height} in {path}")
-    # Checked before any read: a header may claim more than any buffer can hold.
-    if width * height > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError(f"truncated raster in {path}")
-    return width, height
+    with open(path, "rb") as fh:
+        fields: list[bytes] = []
+        token = bytearray()
+        while len(fields) < 4:
+            c = fh.read(1)
+            if c and not c.isspace() and not (c == b"#" and not token):
+                token += c
+                continue
+            # A token ends at one whitespace byte; after maxval that byte is the
+            # single separator before the raster.
+            if token:
+                fields.append(bytes(token))
+                token.clear()
+                if len(fields) == 1 and fields[0] != b"P5":
+                    raise ValueError(f"unsupported PGM magic {fields[0]!r} in {path}")
+            elif not c:
+                raise ValueError(f"truncated PGM header in {path}")
+            elif c == b"#":
+                fh.readline()  # comment runs to the end of the line
+        for f in fields[1:]:
+            # ASCII digits only: int() also takes "+255" and "1_0", and its errors name no file.
+            if not (f.isdigit() and len(f) <= 19):
+                raise ValueError(f"bad PGM header field {f[:20]!r} in {path}")
+        width, height, maxval = (int(f) for f in fields[1:])
+        if maxval != 255:
+            raise ValueError(f"unsupported depth (maxval {maxval}) in {path}")
+        if width <= 0 or height <= 0:
+            raise ValueError(f"bad dimensions {width}x{height} in {path}")
+        # Checked before any read: a header may claim more than any buffer can hold.
+        n = fh.tell()
+        if width * height > os.fstat(fh.fileno()).st_size - n:
+            raise ValueError(f"truncated raster in {path}")
+        fh.seek(0)
+        return PgmFile(path, (height, width), fh.read(n))
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
@@ -345,35 +374,38 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def read_frame_index(session_dir: str | Path) -> list[Frame]:
-    """Read ``frames/index.csv`` and validate every referenced PGM header.
+def read_frame_index(session_dir: str | Path) -> Frames:
+    """Read ``frames/index.csv`` and validate the header of every PGM it names.
 
-    Pixel data stays on disk (lazy); a file too short for the raster its
-    header claims raises ``"truncated raster in …"`` here.  Dimensions must
-    be constant across the session; a mid-session change raises
-    ``"frame geometry changed"``.
+    Each distinct file is one :class:`PgmFile` source, its header parsed here
+    once; pixel data stays on disk (lazy).  A file too short for the raster
+    its header claims raises ``"truncated raster in …"``, and a mid-session
+    change of dimensions ``"frame geometry changed"``.
     """
     session_dir = Path(session_dir)
     index_path = session_dir / "frames" / "index.csv"
     if not index_path.is_file():
         raise ValueError(f"missing frame index {index_path}")
-    frames: list[Frame] = []
-    geometry: tuple[int, int] | None = None
+    times: list[int] = []
+    source: list[int] = []
+    files: dict[str, int] = {}  # str(path), normalised and quick to hash -> source index
+    sources: list[PgmFile] = []
     for lineno, t, (rel,) in _rows(index_path, FRAME_INDEX_HEADER, 2):
         # Lexical check, so no syscall per frame: stay inside the session.
         if rel.startswith("/") or ".." in rel.split("/"):
             raise ValueError(f"line {lineno}: frame path {rel} leaves the session")
         path = session_dir / rel
-        if not path.is_file():
-            raise ValueError(f"missing frame file {rel}")
-        with open(path, "rb") as pgm:
-            width, height = _read_pgm_header(pgm, path)
-        if geometry is None:
-            geometry = (width, height)
-        elif geometry != (width, height):
-            raise ValueError("frame geometry changed")
-        frames.append(Frame(t, width, height, path=path))
-    return frames
+        k = files.get(str(path))
+        if k is None:
+            if not path.is_file():
+                raise ValueError(f"missing frame file {rel}")
+            sources.append(_read_pgm_header(path))
+            if sources[-1].shape != sources[0].shape:
+                raise ValueError("frame geometry changed")
+            k = files[str(path)] = len(sources) - 1
+        times.append(t)
+        source.append(k)
+    return Frames(times, source, tuple(sources))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +454,7 @@ def write_session(session_dir: str | Path, session: Session) -> None:
     frames_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(session_dir, session.meta, session.synthetic_profile)
     write_pose_csv(session_dir / "pose.csv", session.poses)
-    rows = [(frame.t_us, f"frames/{i:06d}.pgm") for i, frame in enumerate(session.frames)]
+    rows = [(t, f"frames/{i:06d}.pgm") for i, t in enumerate(session.frames.t_us.tolist())]
     for frame, (_, rel) in zip(session.frames, rows):
         write_pgm(session_dir / rel, frame.pixels)
     _write_csv(frames_dir / "index.csv", FRAME_INDEX_HEADER, rows)
@@ -470,8 +502,7 @@ def validate_session(session: Session) -> ValidationReport:
     :class:`Session` already holds them.
     """
     report = ValidationReport()
-    pose_t = session.poses.t_us
-    frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
+    pose_t, frame_t = session.poses.t_us, session.frames.t_us
 
     if pose_t.size == 0:
         report.add("empty_stream", "empty stream: poses")

@@ -23,17 +23,17 @@ implementation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import INT64_MAX, SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply
 from .core import q_normalize
 from .fusion import _interpolate_on_grid, _slerp_pairs, hemisphere_align
-from .ingest import Frame, Poses, Session, write_session
+from .ingest import Frame, Frames, Poses, Session, write_session
 
 __all__ = [
     "ProfileConfig",
@@ -333,35 +333,20 @@ def _base_field(width: int, height: int, seed: int) -> np.ndarray:
     return field.astype(np.float32)
 
 
-class _PhantomFrame(Frame):
-    """A phantom frame that renders its pixels on every access and keeps none.
+class _Phantom(NamedTuple):
+    """A pixel source that renders the shared base field at one contrast on
+    every :meth:`read`, so a session, or a process forked from it, keeps none."""
 
-    It holds only its contrast and a reference to the session's shared base
-    field, so a session, or a process forked from it, renders each frame
-    where it is used.
-    """
+    field: np.ndarray  # float32
+    contrast: np.float32
+    shape = property(lambda self: self.field.shape)
 
-    __slots__ = ("_field", "_contrast")
-
-    def __init__(self, t_us: int, field: np.ndarray, contrast: float) -> None:
-        # Not Frame.__init__, which needs pixels or a file; this frame has neither.
-        self.t_us = t_us
-        self.height, self.width = field.shape
-        self._pixels = self._path = None
-        self._field = field
-        self._contrast = np.float32(contrast)
-
-    @property
-    def pixels(self) -> np.ndarray:
-        buf = self._field * self._contrast
+    def read(self) -> np.ndarray:
+        buf = self.field * self.contrast
         buf += np.float32(128.0)
         np.rint(buf, out=buf)
         np.clip(buf, 0.0, 255.0, out=buf)
         return buf.astype(np.uint8)
-
-    @property
-    def source(self) -> tuple:
-        return ("phantom", id(self._field), float(self._contrast))
 
 
 def gen_phantom_frame(
@@ -380,7 +365,7 @@ def gen_phantom_frame(
     """
     width, height = geometry
     contrast = _contrast(q_geodesic_angle(q, target))
-    return _PhantomFrame(t_us, _base_field(width, height, seed), contrast)
+    return Frame(t_us, _Phantom(_base_field(width, height, seed), np.float32(contrast)))
 
 
 def _contrast(theta):
@@ -394,8 +379,9 @@ def _contrast(theta):
 def build_session(profile: ProfileConfig) -> Session:
     """Generate a complete in-memory session for the profile.
 
-    Its frames keep no pixels and render on access from the one base field,
-    which is computed here, so processes forked later inherit it.
+    Its frames keep no pixels: there is one phantom source per distinct
+    float32 contrast, each rendering on access from the one base field, which
+    is computed here, so processes forked later inherit it.
     """
     poses = gen_trajectory(profile)
     target = profile.resolved_target()
@@ -404,9 +390,10 @@ def build_session(profile: ProfileConfig) -> Session:
 
     # gen_phantom_frame's contrast, for all frames at once.
     frame_q = _interpolate_on_grid(poses.t_us, poses.q, frame_t, "slerp")
-    contrast = _contrast(q_geodesic_angle(frame_q, target))
+    contrast = _contrast(q_geodesic_angle(frame_q, target)).astype(np.float32)
+    levels, source = np.unique(contrast, return_inverse=True)
     field = _base_field(profile.frame_width, profile.frame_height, profile.seed)
-    frames = [_PhantomFrame(t, field, c) for t, c in zip(frame_t.tolist(), contrast.tolist())]
+    frames = Frames(frame_t, source, tuple(_Phantom(field, c) for c in levels))
 
     meta = SessionMeta(
         session_id=f"{profile.kind}-{profile.seed:04d}",
@@ -443,27 +430,14 @@ def extend_with_idle(session: Session, duration_s: float) -> Session:
     """Append an idle tail: constant last pose, repeated last frame."""
     if not session.poses or not session.frames:
         raise ValueError("cannot extend an empty session")
-    pose_period = round(1e6 / session.meta.pose_rate_hz)
-    frame_period = round(1e6 / session.meta.frame_rate_hz)
-    n_poses = int(round(duration_s * session.meta.pose_rate_hz))
-    n_frames = int(round(duration_s * session.meta.frame_rate_hz))
+    meta, frames = session.meta, session.frames
+    poses = Poses(*_idle_tail(session.poses.t_us, session.poses.q, meta.pose_rate_hz, duration_s))
+    tail = _idle_tail(frames.t_us, frames.source, meta.frame_rate_hz, duration_s)
+    return Session(meta, poses, Frames(*tail, frames.sources), session.synthetic_profile)
 
-    t, q = session.poses.t_us, session.poses.q
-    poses = Poses(
-        np.concatenate([t, t[-1] + pose_period * np.arange(1, n_poses + 1, dtype=np.int64)]),
-        np.concatenate([q, np.repeat(q[-1:], n_poses, axis=0)]),
-    )
-    last_frame = session.frames[-1]
-    extra_frames = []
-    for i in range(n_frames):
-        # A shallow copy shares the last frame's pixel source, whether an
-        # array, a file or a phantom field.
-        frame = copy.copy(last_frame)
-        frame.t_us = last_frame.t_us + frame_period * (i + 1)
-        extra_frames.append(frame)
-    return Session(
-        meta=session.meta,
-        poses=poses,
-        frames=session.frames + extra_frames,
-        synthetic_profile=session.synthetic_profile,
-    )
+
+def _idle_tail(t: np.ndarray, rows: np.ndarray, rate_hz: float, duration_s: float):
+    """``t`` and ``rows`` extended by ``duration_s`` at ``rate_hz``, each new row the last."""
+    n = int(round(duration_s * rate_hz))
+    t_tail = t[-1] + round(1e6 / rate_hz) * np.arange(1, n + 1, dtype=np.int64)
+    return np.concatenate([t, t_tail]), np.concatenate([rows, np.repeat(rows[-1:], n, axis=0)])

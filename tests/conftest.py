@@ -14,7 +14,7 @@ import scanskill
 
 from scanskill.core import SessionMeta
 from scanskill.fusion import hemisphere_align
-from scanskill.ingest import Frame, PoseSample, Poses, Session, load_session
+from scanskill.ingest import Frame, Frames, PoseSample, Poses, Session, load_session
 from scanskill.synth import build_session, expert_profile, extend_with_idle, gen_session
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -91,7 +91,8 @@ def unit_quaternions(draw):
 
 
 def constant_frame(t_us: int, width: int = 8, height: int = 8, value: int = 100) -> Frame:
-    return Frame(t_us, width, height, pixels=np.full((height, width), value, dtype=np.uint8))
+    """A frame at ``t_us`` over a held array of ``value``."""
+    return Frame(t_us, np.full((height, width), value, dtype=np.uint8))
 
 
 def pose_columns(poses: list[PoseSample] | Poses) -> Poses:
@@ -104,9 +105,16 @@ def pose_columns(poses: list[PoseSample] | Poses) -> Poses:
     )
 
 
+def frame_columns(frames: list[Frame] | Frames) -> Frames:
+    """``frames`` as a :class:`Frames`, each frame its own source; one passes through as it is."""
+    if isinstance(frames, Frames):
+        return frames
+    return Frames([f.t_us for f in frames], range(len(frames)), tuple(f.pixels for f in frames))
+
+
 def make_session(
     poses: list[PoseSample] | Poses,
-    frames: list[Frame],
+    frames: list[Frame] | Frames,
     pose_rate_hz: float = 100.0,
     frame_rate_hz: float = 25.0,
     session_id: str = "test",
@@ -119,7 +127,7 @@ def make_session(
         pose_rate_hz=pose_rate_hz,
         frame_rate_hz=frame_rate_hz,
     )
-    return Session(meta=meta, poses=pose_columns(poses), frames=frames)
+    return Session(meta=meta, poses=pose_columns(poses), frames=frame_columns(frames))
 
 
 def smooth_pose_walk(rng: np.random.Generator, times_us: list[int]) -> list[PoseSample]:
@@ -214,8 +222,8 @@ def assert_same_table(a, b) -> None:
 
 
 def private_copies(session: Session) -> Session:
-    """``session`` with every frame holding a private copy of its pixels."""
-    frames = [Frame(f.t_us, f.width, f.height, pixels=f.pixels.copy()) for f in session.frames]
+    """``session`` with every frame its own source, a held copy of its pixels."""
+    frames = frame_columns([Frame(f.t_us, f.pixels.copy()) for f in session.frames])
     return Session(session.meta, session.poses, frames, session.synthetic_profile)
 
 

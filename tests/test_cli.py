@@ -21,9 +21,10 @@ from scanskill.cli import main
 from scanskill.core import INT64_MAX
 from scanskill.features import GlcmConfig, SmoothnessConfig, compute_feature_table
 from scanskill.fusion import ResampleConfig, fuse_streams
+from scanskill import ingest
 from scanskill.ingest import Frame, PoseSample, load_session, write_session
 from scanskill.skill import METRIC_ORDER
-from scanskill.synth import ProfileConfig, build_session
+from scanskill.synth import ProfileConfig, build_session, gen_session, novice_profile
 
 from conftest import IDENTITY, constant_frame, make_session, run_python, smooth_pose_walk
 
@@ -497,6 +498,50 @@ class TestExitCodes:
         assert code == 3 and len(err) == 1 and err[0].startswith("error: ")
 
 
+class TestFrameDecode:
+    """``report`` on a 501-frame 64x48 session on disk, under the pool's threshold."""
+
+    @pytest.fixture(scope="class")
+    def long_session(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("decode") / "s"
+        profile = novice_profile(1, frame_width=64, frame_height=48, n_samples_range=(2001, 2001))
+        gen_session(profile, root)
+        assert len(list((root / "frames").glob("*.pgm"))) == 501
+        return root
+
+    def test_each_pgm_header_parsed_once(self, long_session, tmp_path, monkeypatch):
+        parsed = []
+        real = ingest._read_pgm_header
+
+        def counted(*args):
+            parsed.append(args[-1])  # the path
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_read_pgm_header", counted)
+        code, err = _run(["report", "--session", str(long_session), "--out", str(tmp_path)])
+        assert (code, err) == (0, [f"wrote {tmp_path / 'report.json'}"])
+        assert len(parsed) == len(set(parsed)) == 501
+
+    def test_header_changed_after_load_is_pipeline_error(self, long_session, tmp_path,
+                                                         monkeypatch):
+        # Same size, dimensions swapped: only the header bytes seen at load tell.
+        changed = tmp_path / "changed"
+        shutil.copytree(long_session, changed)
+        pgm = changed / "frames" / "000040.pgm"
+        data = pgm.read_bytes()
+        assert data.startswith(b"P5\n64 48\n")
+        real = ingest.load_session
+
+        def load_then_rewrite(path):
+            session = real(path)
+            pgm.write_bytes(b"P5\n48 64\n" + data[len(b"P5\n64 48\n"):])
+            return session
+
+        monkeypatch.setattr(ingest, "load_session", load_then_rewrite)
+        code, err = _run(["report", "--session", str(changed), "--out", str(tmp_path / "out")])
+        assert (code, err) == (3, [f"error: frame geometry changed: {pgm}"])
+
+
 class TestEntryPoints:
     def test_python_dash_m(self, session_dir):
         proc = run_python("-m", "scanskill", "validate", "--session", str(session_dir))
@@ -612,6 +657,19 @@ class TestEntryPoints:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["correct"] is True and result["failed"] == 0, result
 
+    def test_benchmark_replay_runs_on_the_program(self, tmp_path):
+        # The benchmark's set-up and traced replay call the program's public
+        # API one frame and one sample at a time; an API change that breaks
+        # them fails here, on a small frame size.
+        inproc = Path(__file__).resolve().parent.parent / "perfbench" / "inproc.py"
+        setup = run_python(str(inproc), "setup", "--workload", "report-640", "--seed", "1",
+                           "--dir", str(tmp_path / "setup"), "--frame-size", "64x48")
+        assert setup.returncode == 0, setup.stderr
+        replay = run_python(str(inproc), "replay", "--plan", str(tmp_path / "setup" / "plan.json"),
+                            "--out", str(tmp_path / "out"), "--seconds", "0")
+        assert replay.returncode == 0, replay.stderr
+        assert json.loads(replay.stdout)["failed"] == []
+
 
 def _run(argv: list[str]) -> tuple[int, list[str]]:
     """``main(argv)`` in-process: its exit code and its stderr lines."""
@@ -627,7 +685,7 @@ def _write_random_session(
     rng = np.random.default_rng(seed)
     poses = smooth_pose_walk(rng, [k * pose_step_us for k in range(n_poses)])
     frames = [
-        Frame(t, 16, 12, pixels=rng.integers(0, 256, (12, 16), dtype=np.uint8))
+        Frame(t, rng.integers(0, 256, (12, 16), dtype=np.uint8))
         for t in range(0, poses[-1].t_us + 1, frame_step_us)
     ]
     path.mkdir(parents=True)

@@ -5,6 +5,7 @@ pixel sources; most of these tests lower that constant so small sessions
 take the pooled path.
 """
 
+import math
 import multiprocessing
 import os
 import shutil
@@ -16,7 +17,7 @@ from scanskill import features, ingest
 from scanskill.cli import main
 from scanskill.features import GlcmConfig, compute_feature_table, frame_features
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import Frame, PoseSample, load_session
+from scanskill.ingest import Frames, PoseSample, load_session
 from scanskill.synth import build_session, novice_profile
 
 from conftest import (
@@ -69,8 +70,8 @@ def _table(session_dir, cfg):
 
 
 def _frame_features(session_dir, cfg):
-    frames = load_session(session_dir).frames
-    return features._distinct_frame_features(frames, range(len(frames)), cfg)
+    sources = load_session(session_dir).frames.sources
+    return features._distinct_frame_features(sources, range(len(sources)), cfg)
 
 
 def _assert_same_frame_features(a, b):
@@ -90,8 +91,8 @@ def test_pooled_records_equal_serial(session_dir, monkeypatch, cfg):
     session, pooled = _table(session_dir, cfg)
     assert_same_table(serial, pooled)
     assert np.count_nonzero(~np.isnan(pooled.asm)) > 100
-    # The workers decoded the frames; the caller's session holds none of them.
-    assert all(f._pixels is None for f in session.frames)
+    # The workers decoded the frames; the caller's session holds no pixels.
+    assert not any(isinstance(s, np.ndarray) for s in session.frames.sources)
 
 
 def test_pooled_in_memory_synthetic_session_equals_serial(monkeypatch):
@@ -100,10 +101,11 @@ def test_pooled_in_memory_synthetic_session_equals_serial(monkeypatch):
     fused = fuse_streams(session, ResampleConfig())
     serial = compute_feature_table(session, fused, GlcmConfig())
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
-    assert features._pool_workers(session.frames, range(len(session.frames))) > 1
+    sources = session.frames.sources
+    assert features._pool_workers(sources, range(len(sources))) > 1
     assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
-    # The workers rendered the frames; the caller's session holds none of them.
-    assert all(f._pixels is None for f in session.frames)
+    # The workers rendered the frames; the caller's session holds no pixels.
+    assert not any(isinstance(s, np.ndarray) for s in sources)
 
 
 @pytest.mark.parametrize("kind", SHARED_SOURCE_SESSIONS)
@@ -147,17 +149,17 @@ def test_pooled_numpy_counts_equal_compiled(session_dir, monkeypatch):
 def test_shared_array_session_stays_serial(monkeypatch):
     width, height, n_frames = 320, 240, 2000
     pixels = np.random.default_rng(0).integers(0, 256, (height, width), dtype=np.uint8)
-    frames = [Frame(k * 40_000, width, height, pixels=pixels) for k in range(n_frames)]
+    frames = Frames(40_000 * np.arange(n_frames), np.zeros(n_frames), (pixels,))
     poses = [PoseSample(k * 10_000, IDENTITY) for k in range(4 * n_frames - 3)]
     session = make_session(poses, frames)
-    # Counted per frame index, the session would go to the pool.
-    assert features._pool_workers(frames, range(n_frames)) > 1
+    # Counted per frame, the session would go to the pool.
+    assert features._pool_workers([pixels] * n_frames, range(n_frames)) > 1
     seen = []
     real = features._pool_workers
 
-    def pool_workers(frames, indices):
-        seen.append(sum(frames[i].width * frames[i].height for i in indices))
-        return real(frames, indices)
+    def pool_workers(sources, indices):
+        seen.append(sum(math.prod(sources[i].shape) for i in indices))
+        return real(sources, indices)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -200,7 +202,8 @@ def test_truncated_frame_in_pool_is_pipeline_error(session_dir, tmp_path, monkey
         return session
 
     session = load_then_truncate(broken)
-    assert features._pool_workers(session.frames, range(len(session.frames))) > 1
+    sources = session.frames.sources
+    assert features._pool_workers(sources, range(len(sources))) > 1
     with pytest.raises(ValueError, match="^truncated raster in .*000040.pgm$"):
         compute_feature_table(session, fuse_streams(session, ResampleConfig()), GlcmConfig())
     monkeypatch.setattr(ingest, "load_session", load_then_truncate)
@@ -219,7 +222,9 @@ def test_pooled_runs_of_equal_frames(tmp_path, monkeypatch):
     serial = compute_feature_table(session, fused, GlcmConfig())
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
     used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
-    workers = features._pool_workers(session.frames, used)
+    # One file per frame: the source indices are the frame indices.
+    assert session.frames.source.tolist() == list(range(len(session.frames)))
+    workers = features._pool_workers(session.frames.sources, used)
     assert workers > 1
     # The chunks each worker takes; a run cut by a chunk boundary restarts.
     chunksize = max(1, len(used) // (workers * features._CHUNKS_PER_WORKER))
@@ -251,7 +256,7 @@ from concurrent.futures import BrokenExecutor
 from scanskill import features
 from scanskill.cli import main
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import Frame, PoseSample, load_session
+from scanskill.ingest import load_session
 
 features._POOL_MIN_PIXELS = 0
 features.frame_features = lambda frame, cfg: os._exit(7)

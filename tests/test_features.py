@@ -30,7 +30,7 @@ from scanskill.features import (
     texture_features,
 )
 from scanskill.fusion import ResampleConfig, fuse_streams
-from scanskill.ingest import Frame, PoseSample, Poses, load_session
+from scanskill.ingest import Frame, Frames, PoseSample, Poses, load_session
 
 from conftest import (
     IDENTITY,
@@ -738,13 +738,11 @@ class TestFeatureTable:
         session = shared_source_session(kind, tmp_path)
         fused = fuse_streams(session, ResampleConfig())
         used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
-        first = {}
-        for i in used:
-            first.setdefault(session.frames[i].source, i)
-        assert len(first) < len(used)
-        # Sources are visited in frame order, and one whose pixels equal the
+        sources = sorted({session.frames.source[i] for i in used})
+        assert len(sources) < len(used)
+        # Sources are visited in index order, and one whose pixels equal the
         # previous source's reuses its row.
-        pixels = [session.frames[i].pixels for i in sorted(first.values())]
+        pixels = [Frame(0, session.frames.sources[k]).pixels for k in sources]
         heads = [px for k, px in enumerate(pixels)
                  if k == 0 or not np.array_equal(px, pixels[k - 1])]
         seen = []
@@ -812,8 +810,7 @@ class TestFeatureTable:
             pool[2][odd_pixel] ^= 1
         if n_arrays > 3:
             pool[3] = pool[0].copy()
-        frames = [Frame(k * 40_000, 8, 6, pixels=pool[p % n_arrays])
-                  for k, p in enumerate(picks)]
+        frames = Frames(40_000 * np.arange(len(picks)), np.array(picks) % n_arrays, pool)
         poses = [PoseSample(k * 10_000, IDENTITY) for k in range(4 * len(frames) - 3)]
         session = make_session(poses, frames)
         fused = fuse_streams(session, ResampleConfig())

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanskill.core import INT64_MAX, SessionMeta, q_normalize
+from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import (
     FRAME_INDEX_HEADER,
     POSE_HEADER,
     Frame,
+    Frames,
     PoseSample,
     Poses,
     Session,
@@ -31,6 +33,7 @@ from scanskill.ingest import (
 from conftest import (
     IDENTITY,
     constant_frame,
+    frame_columns,
     make_session,
     peak_rss_kib,
     pose_columns,
@@ -351,26 +354,57 @@ class TestFrame:
     ], ids=["out-of-range", "float-nan", "float", "bool", "str"])
     def test_lossy_pixels_rejected(self, pixels):
         with pytest.raises(ValueError, match="pixels must be uint8"):
-            Frame(0, 2, 1, pixels=pixels)
+            Frames([0], [0], (pixels,))
 
     def test_integer_pixels_in_range_accepted(self):
         for pixels in ([[0, 255]], np.array([[0, 255]], dtype=np.int16)):
-            frame = Frame(0, 2, 1, pixels=pixels)
+            frame = Frames([0], [0], (pixels,))[0]
             assert frame.pixels.dtype == np.uint8 and frame.pixels.tolist() == [[0, 255]]
+            assert (frame.width, frame.height) == (2, 1)
 
     def test_uint8_pixels_held_as_given(self):
         pixels = np.zeros((1, 2), dtype=np.uint8)
-        assert Frame(0, 2, 1, pixels=pixels).pixels is pixels
+        assert Frames([0], [0], (pixels,))[0].pixels is pixels
 
     def test_source_equal_only_for_one_held_array_or_file(self, tmp_path):
+        # Frames share a source only by index: one held array, or one file
+        # however its index rows spell the path.
         pixels = np.zeros((1, 2), dtype=np.uint8)
-        a, b, c = (Frame(0, 2, 1, pixels=p) for p in (pixels, pixels, pixels.copy()))
-        assert a.source == b.source != c.source
-        path = tmp_path / "a.pgm"
-        on_disk = [Frame(0, 2, 1, path=p) for p in (path, tmp_path / "." / "a.pgm",
-                                                    tmp_path / "b.pgm")]
-        assert on_disk[0].source == on_disk[1].source != on_disk[2].source
-        assert len({a.source, c.source, on_disk[0].source, on_disk[2].source}) == 4
+        frames = Frames([0, 1, 2], [0, 0, 1], (pixels, pixels.copy()))
+        assert frames[0].pixels is frames[1].pixels is pixels
+        assert frames[2].pixels is frames.sources[1] is not pixels
+        _write_index(tmp_path, [(0, "a.pgm", pixels), (1, "b.pgm", pixels)])
+        (tmp_path / "frames" / "index.csv").write_text(
+            "t_us,file\n0,frames/a.pgm\n1,frames/./a.pgm\n2,frames/b.pgm\n3,frames//a.pgm\n"
+        )
+        on_disk = read_frame_index(tmp_path)
+        assert on_disk.source.tolist() == [0, 0, 1, 0]
+        assert [s.path.name for s in on_disk.sources] == ["a.pgm", "b.pgm"]
+
+    @pytest.mark.parametrize("t, source, sources", [
+        pytest.param([0, 1], [0], (np.zeros((1, 2), np.uint8),), id="lengths"),
+        pytest.param([[0, 1]], [[0, 0]], (np.zeros((1, 2), np.uint8),), id="two-dimensional-t"),
+        pytest.param([0], [0], (np.zeros(2, np.uint8),), id="one-dimensional-pixels"),
+    ])
+    def test_bad_shapes_raise(self, t, source, sources):
+        with pytest.raises(ValueError, match="^frames need t_us"):
+            Frames(t, source, sources)
+
+    @pytest.mark.parametrize("source", [[0, 2], [-1, 0]])
+    def test_source_index_outside_sources_raises(self, source):
+        with pytest.raises(ValueError, match=r"^frame source index outside 0\.\.1$"):
+            Frames([0, 1], source, (np.zeros((1, 2), np.uint8),) * 2)
+
+    def test_columns_and_views_are_read_only(self):
+        frames = Frames([0, 40_000], [0, 0], (np.zeros((1, 2), np.uint8),))
+        for column in (frames.t_us, frames.source):
+            with pytest.raises(ValueError, match="read-only"):
+                column[1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frames.t_us = np.array([0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frames[1].t_us = 90_000
+        assert [f.t_us for f in frames] == [0, 40_000]
 
 
 class TestManifest:
@@ -570,6 +604,11 @@ class TestPoses:
         with pytest.raises(TypeError, match="^poses must be a Poses, got list$"):
             Session(SessionMeta("s", "unknown", 1, 100.0, 25.0), [], [])
 
+    def test_session_takes_only_frames(self):
+        poses = Poses([0, 10_000], np.tile(IDENTITY, (2, 1)))
+        with pytest.raises(TypeError, match="^frames must be a Frames, got list$"):
+            Session(SessionMeta("s", "unknown", 1, 100.0, 25.0), poses, [constant_frame(0)])
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
     def test_write_read_round_trip_is_bit_exact(self, tmp_path_factory, seed, n):
@@ -611,11 +650,25 @@ class TestSessionInvariants:
     def test_increasing_unit_streams_construct(self, seed, n_poses, n_frames, scale):
         poses, frames = self._streams(seed, n_poses, n_frames)
         poses[-1] = PoseSample(poses[-1].t_us, poses[-1].q * scale)
-        poses = pose_columns(poses)
+        poses, frames = pose_columns(poses), frame_columns(frames)
         session = make_session(poses, frames)
         assert session.poses is poses and session.frames is frames
         with pytest.raises(dataclasses.FrozenInstanceError):
             session.poses = []
+
+    def test_frame_times_cannot_change_after_construction(self):
+        # Frame times could once be rewritten in place, and fusion then
+        # quietly returned one sample; they are read-only now, as pose times are.
+        poses = [PoseSample(t, IDENTITY) for t in range(0, 100_000, 10_000)]
+        session = make_session(poses, [constant_frame(t) for t in (0, 40_000, 80_000)])
+        with pytest.raises(ValueError, match="read-only"):
+            session.frames.t_us[1] = 90_000
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.frames.t_us = np.array([0, 90_000, 80_000])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.frames[1].t_us = 90_000
+        assert session.frames.t_us.tolist() == [0, 40_000, 80_000]
+        assert len(fuse_streams(session, ResampleConfig())) == 10
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(2, 30),
@@ -664,8 +717,8 @@ class TestSessionRoundTrip:
         rng = np.random.default_rng(1)
         poses = [PoseSample(0, IDENTITY.copy()), PoseSample(40_000, IDENTITY.copy())]
         frames = [
-            Frame(0, 6, 4, pixels=rng.integers(0, 256, (4, 6), dtype=np.uint8)),
-            Frame(40_000, 6, 4, pixels=rng.integers(0, 256, (4, 6), dtype=np.uint8)),
+            Frame(0, rng.integers(0, 256, (4, 6), dtype=np.uint8)),
+            Frame(40_000, rng.integers(0, 256, (4, 6), dtype=np.uint8)),
         ]
         session = make_session(poses, frames)
         out = tmp_path / "s"
@@ -686,8 +739,7 @@ def test_serial_report_memory_does_not_grow_with_frames(tmp_path):
         rng = np.random.default_rng(n_frames)
         poses = smooth_pose_walk(rng, [k * 10_000 for k in range(4 * n_frames)])
         frames = [
-            Frame(k * 40_000, width, height,
-                  pixels=rng.integers(0, 256, (height, width), dtype=np.uint8))
+            Frame(k * 40_000, rng.integers(0, 256, (height, width), dtype=np.uint8))
             for k in range(n_frames)
         ]
         session = tmp_path / f"s{n_frames}"

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from scanskill.core import q_multiply
 from scanskill.features import GlcmConfig, SmoothnessConfig
 from scanskill.fusion import ResampleConfig
-from scanskill.ingest import PoseSample, Poses, Session
+from scanskill.ingest import Frames, PoseSample, Poses, Session
 from scanskill.skill import (
     ClassifierThresholds,
     SkillReport,
@@ -88,12 +87,6 @@ def _small_session(kind: str, seed: int) -> Session:
     return build_session(make(seed, frame_width=32, frame_height=24, n_samples_range=(400, 500)))
 
 
-def _shifted_frame(frame, shift_us: int):
-    moved = copy.copy(frame)  # shares the frame's pixel source
-    moved.t_us += shift_us
-    return moved
-
-
 class TestSessionInvariance:
     """Whole-session properties of ``build_report``."""
 
@@ -116,7 +109,7 @@ class TestSessionInvariance:
         shifted = Session(
             session.meta,
             Poses(session.poses.t_us + shift_us, session.poses.q),
-            [_shifted_frame(f, shift_us) for f in session.frames],
+            Frames(session.frames.t_us + shift_us, session.frames.source, session.frames.sources),
             session.synthetic_profile,
         )
         assert build_report(shifted) == build_report(session)

@@ -20,7 +20,7 @@ from scanskill.synth import (
     gen_trajectory,
     novice_profile,
 )
-from scanskill.synth import _gaussian_blur
+from scanskill.synth import _gaussian_blur, _Phantom
 
 from conftest import peak_rss_kib
 
@@ -151,14 +151,18 @@ class TestFrameContrasts:
 
     @staticmethod
     def _assert_oracle_contrasts(session, profile):
-        frame_t = np.array([f.t_us for f in session.frames], dtype=np.int64)
-        frame_q = _interpolate_on_grid(session.poses.t_us, session.poses.q, frame_t, "slerp")
+        frames = session.frames
+        frame_q = _interpolate_on_grid(session.poses.t_us, session.poses.q, frames.t_us, "slerp")
         geometry = (profile.frame_width, profile.frame_height)
         target = profile.resolved_target()
-        for frame, q in zip(session.frames, frame_q):
-            oracle = gen_phantom_frame(q, target, geometry, profile.seed, t_us=frame.t_us)
-            assert frame._contrast.tobytes() == oracle._contrast.tobytes(), frame.t_us
-            assert frame._field is oracle._field
+        for t, k, q in zip(frames.t_us.tolist(), frames.source.tolist(), frame_q):
+            oracle = gen_phantom_frame(q, target, geometry, profile.seed, t_us=t)._source
+            assert frames.sources[k].contrast.tobytes() == oracle.contrast.tobytes(), t
+            assert frames.sources[k].field is oracle.field
+        # One source per distinct float32 contrast, and every source is read.
+        contrasts = [s.contrast.tobytes() for s in frames.sources]
+        assert len(set(contrasts)) == len(contrasts) < len(frames)
+        assert set(frames.source.tolist()) == set(range(len(contrasts)))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("profile_fn", [expert_profile, novice_profile])
@@ -242,8 +246,12 @@ class TestSessions:
         assert len(longer.poses) == len(session.poses) + 200
         assert len(longer.frames) == len(session.frames) + 50
         assert np.array_equal(longer.poses[-1].q, session.poses[-1].q)
+        # The tail reads the last frame's source; no source is added.
+        assert longer.frames.sources == session.frames.sources
+        assert set(longer.frames.source[len(session.frames) - 1 :]) == {session.frames.source[-1]}
         last = session.frames[-1].pixels
-        assert all(np.array_equal(f.pixels, last) for f in longer.frames[len(session.frames):])
+        tail = list(longer.frames)[len(session.frames) :]
+        assert all(np.array_equal(f.pixels, last) for f in tail)
         assert validate_session(longer).findings == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -267,9 +275,9 @@ class TestSessions:
 
     def test_built_session_holds_no_pixels(self):
         session = build_session(novice_profile(2, **SMALL, n_samples_range=(400, 500)))
-        assert all(f._pixels is None and f._path is None for f in session.frames)
+        assert all(type(s) is _Phantom for s in session.frames.sources)
         # Every frame renders from the one shared base field on each access.
-        assert len({id(f._field) for f in session.frames}) == 1
+        assert len({id(s.field) for s in session.frames.sources}) == 1
         frame = session.frames[-1]
         assert frame.pixels is not frame.pixels
         assert np.array_equal(frame.pixels, frame.pixels)
