@@ -195,24 +195,20 @@ def _pair_region(shape: tuple[int, int], offset: tuple[int, int]) -> tuple[int, 
     return y0, y1, x0, x1
 
 
-def _pair_counts(
-    src: np.ndarray, dst: np.ndarray, offset: tuple[int, int], src_bins: int, dst_bins: int
-) -> np.ndarray:
-    """Counts of the pairs ``(src[y][x], dst[y+dy][x+dx])``, int64 (src_bins, dst_bins).
+def _pair_counts(q: np.ndarray, offset: tuple[int, int], levels: int) -> np.ndarray:
+    """Counts of the pairs ``(q[y][x], q[y+dy][x+dx])``, int64 (levels, levels).
 
-    ``src`` and ``dst`` have one shape and hold values in ``[0, src_bins)``
-    and ``[0, dst_bins)``.  The pair codes ``s * dst_bins + d`` are built in
-    the narrowest unsigned type that holds them, uint16 at most for 8-bit
-    pixels against any allowed level count, which moves a quarter of the
-    bytes ``intp`` codes would.
+    ``q`` holds values in ``[0, levels)``.  The pair codes ``a * levels + b``
+    are built in the narrowest unsigned type that holds them, uint16 at most
+    for any allowed level count, which moves a quarter of the bytes ``intp``
+    codes would.
     """
-    y0, y1, x0, x1 = _pair_region(src.shape, offset)
+    y0, y1, x0, x1 = _pair_region(q.shape, offset)
     dx, dy = offset
-    codes = src[y0:y1, x0:x1].astype(np.min_scalar_type(src_bins * dst_bins - 1))
-    codes *= dst_bins
-    np.add(codes, dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx], out=codes, casting="unsafe")
-    counts = np.bincount(codes.ravel(), minlength=src_bins * dst_bins)
-    return counts.reshape(src_bins, dst_bins)
+    codes = q[y0:y1, x0:x1].astype(np.min_scalar_type(levels * levels - 1))
+    codes *= levels
+    np.add(codes, q[y0 + dy : y1 + dy, x0 + dx : x1 + dx], out=codes, casting="unsafe")
+    return np.bincount(codes.ravel(), minlength=levels * levels).reshape(levels, levels)
 
 
 def glcm_counts(img: np.ndarray, levels: int, offset: tuple[int, int]) -> np.ndarray:
@@ -220,7 +216,7 @@ def glcm_counts(img: np.ndarray, levels: int, offset: tuple[int, int]) -> np.nda
     img = np.asarray(img).astype(np.int32)
     if img.size and (img.min() < 0 or img.max() >= levels):
         raise ValueError(f"image values must lie in [0, {levels})")
-    return _pair_counts(img, img, offset, levels, levels)
+    return _pair_counts(img, offset, levels)
 
 
 def _normalize(counts: np.ndarray, symmetric: bool) -> np.ndarray:
@@ -310,22 +306,9 @@ def frame_features(
 
 def _numpy_counts(px: np.ndarray, cfg: GlcmConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (n_offsets, L, L) co-occurrence counts and 256-bin histogram of ``px``."""
-    levels = cfg.levels
-    q = quantize(px, levels)
-    first, *rest = cfg.offsets
-    # The first offset pairs 8-bit source pixels with quantized partners.
-    # Summed over partners this counts every pixel of the source region, so
-    # the histogram needs only the border strips outside it counted apart;
-    # summed over each level's 256/L source values it is the offset's GLCM.
-    joint = _pair_counts(px, q, first, 256, levels)
-    y0, y1, x0, x1 = _pair_region(px.shape, first)
-    border = np.concatenate(
-        [px[:y0].ravel(), px[y1:].ravel(), px[y0:y1, :x0].ravel(), px[y0:y1, x1:].ravel()]
-    )
-    hist = joint.sum(axis=1) + np.bincount(border, minlength=256)
-    counts = [joint.reshape(levels, 256 // levels, levels).sum(axis=1)]
-    counts += [_pair_counts(q, q, offset, levels, levels) for offset in rest]
-    return np.stack(counts), hist
+    q = quantize(px, cfg.levels)
+    counts = np.stack([_pair_counts(q, offset, cfg.levels) for offset in cfg.offsets])
+    return counts, np.bincount(px.ravel(), minlength=256)
 
 
 def _compiled_counts(
@@ -434,15 +417,18 @@ def path_length(fused: FusedGrid | Poses) -> float:
 def smooth_speed(
     speed: np.ndarray, window: int = SmoothnessConfig.speed_smoothing_window
 ) -> np.ndarray:
-    """Centered moving average; the window shrinks at the series edges."""
+    """Centered moving average of ``window`` samples; it shrinks at the series edges.
+
+    Sample k averages ``(window - 1) // 2`` samples before it and
+    ``window // 2`` after, so an even window reaches one sample further ahead.
+    """
     v = np.asarray(speed, dtype=np.float64)
     if window <= 1 or v.size == 0:
         return v.copy()
-    half = window // 2
     csum = np.concatenate([[0.0], np.cumsum(v)])
     i = np.arange(v.size)
-    lo = np.maximum(0, i - half)
-    hi = np.minimum(v.size, i + half + 1)
+    lo = np.maximum(0, i - (window - 1) // 2)
+    hi = np.minimum(v.size, i + window // 2 + 1)
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
@@ -582,9 +568,8 @@ def compute_feature_table(session: Session, fused: FusedGrid, cfg: GlcmConfig) -
 # Below this many pixels across a session's distinct pixel sources the
 # features are computed serially.  On two cores, with the compiled kernel
 # counting, the pool breaks even at about 9 to 12 Mpx, both for 320x240
-# frames in memory and for 640x480 frames decoded from disk (numpy counting:
-# 6 to 10 Mpx); the margin above that keeps short sessions, whose saving
-# would be within noise, off the pool.
+# frames in memory and for 640x480 frames decoded from disk; the margin above
+# that keeps short sessions, whose saving would be within noise, off the pool.
 _POOL_MIN_PIXELS = 1 << 24
 # Each worker takes about this many chunks of frames, so that a slow chunk
 # near the end leaves little idle time on the other workers.

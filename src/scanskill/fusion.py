@@ -85,8 +85,8 @@ class FusedGrid:
     ``t_us`` (n,) int64, ``q`` (n, 4) float64 unit and hemisphere-aligned,
     ``frame_idx`` (n,) int64 with -1 where no frame lies within the staleness
     window, and ``staleness_us`` (n,) int64, 0 where ``frame_idx`` is -1.
-    Construction copies the columns and checks their shapes.  ``len``,
-    indexing and iteration give :class:`FusedSample` views.
+    Construction copies the columns and checks their shapes.  ``len`` and
+    iteration give :class:`FusedSample` views.
     """
 
     t_us: np.ndarray
@@ -106,11 +106,6 @@ class FusedGrid:
 
     def __len__(self) -> int:
         return len(self.t_us)
-
-    def __getitem__(self, i: int) -> FusedSample:
-        return _fused_sample(
-            int(self.t_us[i]), self.q[i], int(self.frame_idx[i]), int(self.staleness_us[i])
-        )
 
     def __iter__(self) -> Iterator[FusedSample]:
         return map(_fused_sample, self.t_us.tolist(), self.q, self.frame_idx.tolist(),

@@ -164,8 +164,8 @@ class Poses:
 
     Construction copies both and checks what fusion and every metric assume:
     ``t_us`` strictly increases and each quaternion's norm is within 1e-3 of 1,
-    else ValueError names the first offending index.  ``len``, indexing and
-    iteration give :class:`PoseSample` views, for callers taking one at a time.
+    else ValueError names the first offending index.  ``len`` and iteration
+    give :class:`PoseSample` views, for callers taking one at a time.
     """
 
     t_us: np.ndarray
@@ -190,9 +190,6 @@ class Poses:
 
     def __len__(self) -> int:
         return len(self.t_us)
-
-    def __getitem__(self, i: int) -> PoseSample:
-        return PoseSample(int(self.t_us[i]), self.q[i])
 
     def __iter__(self) -> Iterator[PoseSample]:
         return map(PoseSample, self.t_us.tolist(), self.q)

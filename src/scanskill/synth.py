@@ -81,10 +81,6 @@ _TREMOR_JITTER_GAIN = 0.3
 _TREMOR_JITTER_SIGMA_SAMPLES = 4.0
 
 
-def default_target_orientation() -> np.ndarray:
-    return q_from_axis_angle(_TARGET_AXIS, _TARGET_ANGLE)
-
-
 @dataclass(frozen=True)
 class ProfileConfig:
     """Generator parameters; a None ``n_samples_range`` takes the per-kind range."""
@@ -129,7 +125,7 @@ class ProfileConfig:
         return EXPERT_SAMPLE_RANGE if self.kind == "expert" else NOVICE_SAMPLE_RANGE
 
     def resolved_target(self) -> np.ndarray:
-        return default_target_orientation()
+        return q_from_axis_angle(_TARGET_AXIS, _TARGET_ANGLE)
 
 
 def expert_profile(seed: int, **overrides) -> ProfileConfig:

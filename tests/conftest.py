@@ -144,7 +144,7 @@ def smooth_pose_walk(rng: np.random.Generator, times_us: list[int]) -> list[Pose
     return [PoseSample(int(t), q) for t, q in zip(times_us, hemisphere_align(np.array(quats)))]
 
 
-def fuse_poses(poses: list[PoseSample], cfg):
+def fuse_poses(poses: list[PoseSample] | Poses, cfg):
     """``fuse_streams`` over frames that span ``poses``.
 
     The grid is then the pose grid anchored at the first pose and running to
@@ -152,7 +152,8 @@ def fuse_poses(poses: list[PoseSample], cfg):
     """
     from scanskill.fusion import fuse_streams
 
-    frames = [constant_frame(t) for t in sorted({poses[0].t_us, poses[-1].t_us})]
+    poses = pose_columns(poses)
+    frames = [constant_frame(int(t)) for t in sorted({poses.t_us[0], poses.t_us[-1]})]
     return fuse_streams(make_session(poses, frames), cfg)
 
 

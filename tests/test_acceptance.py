@@ -205,7 +205,7 @@ def test_acceptance_5_resampler_grid_properties():
 
 def _motion_session(profile):
     poses = gen_trajectory(profile)
-    frames = [constant_frame(t) for t in range(0, poses[-1].t_us + 1, 40_000)]
+    frames = [constant_frame(t) for t in range(0, int(poses.t_us[-1]) + 1, 40_000)]
     return make_session(poses, frames, role=profile.kind, session_id=profile.kind)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import shutil
@@ -422,6 +423,14 @@ class TestCompiledKernel:
         with pytest.raises(LookupError):
             frame_features(px, GlcmConfig())
 
+    # The default config, then offsets with a negative dx, an ROI and no
+    # symmetry at the smallest and the largest level count.
+    CLI_CONFIGS = (
+        {},
+        {"levels": 8, "offsets": [[-2, 1], [3, 0]], "symmetric": False, "roi": [5, 4, 50, 36]},
+        {"levels": 64, "offsets": [[-1, -1], [0, 2]], "symmetric": False, "roi": [0, 7, 61, 41]},
+    )
+
     def test_report_without_cc_equals_compiled(self, tiny_expert_session, tmp_path):
         from scanskill.ingest import write_session
 
@@ -429,15 +438,22 @@ class TestCompiledKernel:
         session.mkdir()
         write_session(session, tiny_expert_session)
         (tmp_path / "empty").mkdir()
-        for name, path in (("compiled", None), ("numpy", str(tmp_path / "empty"))):
-            cache = tmp_path / name / "cache"
-            env = {"XDG_CACHE_HOME": str(cache)} | ({"PATH": path} if path else {})
-            proc = run_python("-m", "scanskill", "report", "--session", str(session),
-                              "--out", str(tmp_path / name), **env)
-            assert proc.returncode == 0, proc.stderr
-            assert len(list(cache.glob("scanskill/*.so"))) == (name == "compiled")
-        assert (tmp_path / "numpy" / "report.json").read_bytes() == (
-            tmp_path / "compiled" / "report.json").read_bytes()
+        for i, config in enumerate(self.CLI_CONFIGS):
+            config_path = tmp_path / f"config-{i}.json"
+            config_path.write_text(json.dumps(config))
+            outs = {}
+            for name, path in (("compiled", None), ("numpy", str(tmp_path / "empty"))):
+                outs[name] = out = tmp_path / f"{name}-{i}"
+                cache = out / "cache"
+                env = {"XDG_CACHE_HOME": str(cache)} | ({"PATH": path} if path else {})
+                for command in ("report", "features"):
+                    proc = run_python("-m", "scanskill", command, "--session", str(session),
+                                      "--config", str(config_path), "--out", str(out), **env)
+                    assert proc.returncode == 0, proc.stderr
+                assert len(list(cache.glob("scanskill/*.so"))) == (name == "compiled")
+            for file in ("report.json", "features.csv"):
+                numpy_bytes = (outs["numpy"] / file).read_bytes()
+                assert numpy_bytes == (outs["compiled"] / file).read_bytes(), file
 
     def test_concurrent_first_builds_leave_one_library(self, tmp_path):
         code = "from scanskill import features; assert features._kernel() is not None"
@@ -566,6 +582,14 @@ class TestSmoothSpeed:
         rng = np.random.default_rng(10)
         v = rng.random(50)
         np.testing.assert_allclose(smooth_speed(2.5 * v, 5), 2.5 * smooth_speed(v, 5))
+
+    def test_even_window_averages_window_samples(self):
+        # One sample before k and two after: the window reaches ahead.
+        v = np.random.default_rng(11).random(12)
+        out = smooth_speed(v, 4)
+        for k in range(1, 10):
+            assert out[k] == pytest.approx(np.mean(v[k - 1 : k + 3]), rel=1e-12)
+        assert not np.allclose(out, smooth_speed(v, 5))
 
     @settings(max_examples=200, deadline=None)
     @given(v=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=300), window=st.integers(1, 40))

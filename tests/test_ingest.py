@@ -60,7 +60,7 @@ class TestPoseCsv:
     def test_normalized_on_read(self, tmp_path):
         samples = read_pose_csv(_pose_csv(tmp_path, "t_us,w,x,y,z\n0,2,0,0,0"))
         assert len(samples) == 1
-        np.testing.assert_allclose(samples[0].q, IDENTITY)
+        np.testing.assert_allclose(samples.q[0], IDENTITY)
 
     def test_timestamp_regression(self, tmp_path):
         with pytest.raises(ValueError, match="timestamp regression at line 3"):
@@ -102,8 +102,8 @@ class TestPoseCsv:
     def test_extreme_components_keep_direction(self, tmp_path, row, direction):
         samples = read_pose_csv(_pose_csv(tmp_path, f"t_us,w,x,y,z\n0,1,0,0,0\n1,{row}\n"))
         expected = np.array(direction) / np.linalg.norm(direction)
-        np.testing.assert_allclose(samples[1].q, expected, rtol=0, atol=1e-15)
-        assert abs(np.sum(samples[1].q ** 2) - 1.0) <= 1e-15
+        np.testing.assert_allclose(samples.q[1], expected, rtol=0, atol=1e-15)
+        assert abs(np.sum(samples.q[1] ** 2) - 1.0) <= 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
@@ -114,7 +114,7 @@ class TestPoseCsv:
             with pytest.raises(ValueError, match="^line 2: degenerate quaternion"):
                 read_pose_csv(path)
             return
-        q = read_pose_csv(path)[0].q
+        q = read_pose_csv(path).q[0]
         scaled = np.array(comps) / max(map(abs, comps))
         # q_normalize leaves a row within 16 eps of unit squared norm as it is.
         np.testing.assert_allclose(q, scaled / np.linalg.norm(scaled), rtol=0, atol=4e-15)
@@ -567,7 +567,7 @@ class TestPoses:
         with pytest.raises(ValueError, match="read-only"):
             poses.q[0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
-            poses[0].q[0] = 2.0
+            next(iter(poses)).q[0] = 2.0
         # The caller's arrays stay writable, and writing them changes no pose.
         t[1], q[0, 0] = 30_000, 2.0
         assert poses.t_us.tolist() == [0, 10_000, 20_000] and poses.q[0, 0] == 1.0
@@ -583,13 +583,9 @@ class TestPoses:
         poses = tiny_expert_session.poses
         samples = list(poses)
         assert len(samples) == len(poses) > 2
-        for i in (0, 1, len(poses) - 1, -1):
-            assert type(poses[i]) is PoseSample and type(poses[i].t_us) is int
-            assert poses[i].t_us == samples[i].t_us == int(poses.t_us[i])
-            assert np.array_equal(poses[i].q, samples[i].q)
-            assert np.array_equal(poses[i].q, poses.q[i])
-        with pytest.raises(IndexError):
-            poses[len(poses)]
+        for sample, t, q in zip(samples, poses.t_us, poses.q):
+            assert type(sample) is PoseSample and type(sample.t_us) is int
+            assert sample.t_us == t and np.array_equal(sample.q, q)
 
     @pytest.mark.parametrize("t, q", [
         pytest.param([0, 1], np.tile(IDENTITY, (3, 1)), id="lengths"),

@@ -12,7 +12,6 @@ from scanskill.skill import build_report
 from scanskill.synth import (
     ProfileConfig,
     build_session,
-    default_target_orientation,
     expert_profile,
     extend_with_idle,
     gen_phantom_frame,
@@ -66,7 +65,7 @@ class TestTrajectory:
         for seed in range(3):
             profile = kind_profile(seed)
             poses = gen_trajectory(profile)
-            angle = q_geodesic_angle(poses[-1].q, profile.resolved_target())
+            angle = q_geodesic_angle(poses.q[-1], profile.resolved_target())
             assert angle <= math.radians(2.0)
 
     def test_expert_speed_unimodal(self):
@@ -109,7 +108,7 @@ class TestTrajectory:
 
 
 class TestPhantomFrames:
-    TARGET = default_target_orientation()
+    TARGET = expert_profile(0).resolved_target()
 
     def test_aligned_max_contrast(self):
         frame = gen_phantom_frame(self.TARGET, self.TARGET, (64, 48), seed=0)
@@ -212,7 +211,7 @@ class TestSessions:
         session = build_session(profile)
         assert validate_session(session).findings == []
         assert session.meta.participant_role == profile.kind
-        assert session.frames[-1].t_us == session.poses[-1].t_us
+        assert session.frames[-1].t_us == session.poses.t_us[-1]
 
     def test_persisted_session_reports_identically(self, tmp_path):
         profile = expert_profile(0, **SMALL, n_samples_range=(400, 500))
@@ -245,7 +244,7 @@ class TestSessions:
         longer = extend_with_idle(session, 2.0)
         assert len(longer.poses) == len(session.poses) + 200
         assert len(longer.frames) == len(session.frames) + 50
-        assert np.array_equal(longer.poses[-1].q, session.poses[-1].q)
+        assert np.array_equal(longer.poses.q[-1], session.poses.q[-1])
         # The tail reads the last frame's source; no source is added.
         assert longer.frames.sources == session.frames.sources
         assert set(longer.frames.source[len(session.frames) - 1 :]) == {session.frames.source[-1]}
