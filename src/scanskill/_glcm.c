@@ -6,7 +6,8 @@
    `stride` bytes.  Consecutive pixels count into four interleaved tables,
    so that in a run of equal pixels an increment need not wait on the one
    before it.  The tables are uint32: the caller keeps a region under 2^32
-   pixels. */
+   pixels.  count_delta moves counts from one region to the next, of the same
+   size, at the pixels whose level changed instead of counting again. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -72,4 +73,73 @@ void histogram(const uint8_t *px, ptrdiff_t stride, ptrdiff_t rows, ptrdiff_t co
             table[a[x] * LANES]++;
     }
     sum_lanes(table, 256, out);
+}
+
+/* Updates counts[n][levels][levels], the co-occurrence counts of region `prev`
+   at the n (dx, dy) pairs of `offsets`, to those of region `cur`.  Returns 0
+   if no byte differs; -1, counts untouched, once more than 1/16 of the region,
+   or from its 8th row on of the rows scanned, changed level, as a full count is
+   then cheaper; else 1.  `scratch` holds rows * cols / 16 + 8 (y, x) pairs. */
+int count_delta(const uint8_t *prev, ptrdiff_t prev_stride, const uint8_t *cur,
+                ptrdiff_t cur_stride, ptrdiff_t rows, ptrdiff_t cols, const int64_t *offsets,
+                int n, int levels, int64_t *counts, uint32_t *scratch)
+{
+    const int shift = 8 - __builtin_ctz(levels);
+    const uint64_t level_bits = 0x0101010101010101u * (uint8_t)(0xff << shift),
+                   low7 = 0x7f7f7f7f7f7f7f7fu;
+    ptrdiff_t changed = 0, differs = 0;
+    /* Find the pixels whose level changed, a row that differs 8 at a time. */
+    for (ptrdiff_t y = 0; y < rows; y++) {
+        const uint8_t *a = prev + y * prev_stride, *b = cur + y * cur_stride;
+        for (ptrdiff_t x = memcmp(a, b, cols) ? 0 : cols; x < cols; x += 8) {
+            uint64_t u, v;
+            if (x + 8 <= cols) {
+                memcpy(&u, a + x, 8);
+                memcpy(&v, b + x, 8);
+            } else { /* the row's short last word, zero-padded */
+                uint64_t w[2] = {0, 0};
+                memcpy(w, a + x, cols - x);
+                memcpy(w + 1, b + x, cols - x);
+                u = w[0], v = w[1];
+            }
+            differs |= u != v;
+            /* The top bit of each byte that changed level. */
+            uint64_t d = (u ^ v) & level_bits;
+            for (d = (((d & low7) + low7) | d) & ~low7; d; d &= d - 1, changed++) {
+                const int bit = __builtin_ctzll(d);
+                scratch[2 * changed] = y;
+                scratch[2 * changed + 1] = x + (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+                                                ? bit / 8 : 7 - bit / 8);
+            }
+            if (changed * 16 > rows * cols)
+                return -1;
+        }
+        if (y >= 7 && changed * 16 > (y + 1) * cols)
+            return -1;
+    }
+    /* Move each pair holding a changed pixel from its old levels to its new
+       ones: the pair it starts, then the pair it ends unless that pair's
+       first pixel changed too and so moved it already. */
+    for (int k = 0; k < n; k++) {
+        const ptrdiff_t dx = offsets[2 * k], dy = offsets[2 * k + 1];
+        const ptrdiff_t prev_partner = dy * prev_stride + dx, cur_partner = dy * cur_stride + dx;
+        int64_t *c = counts + (ptrdiff_t)k * levels * levels;
+        for (ptrdiff_t i = 0; i < changed; i++) {
+            const ptrdiff_t y = scratch[2 * i], x = scratch[2 * i + 1];
+            const uint8_t *a = prev + y * prev_stride + x, *b = cur + y * cur_stride + x;
+            const int qa = *a >> shift, qb = *b >> shift;
+            if ((size_t)(y + dy) < (size_t)rows && (size_t)(x + dx) < (size_t)cols) {
+                c[qa * levels + (a[prev_partner] >> shift)]--;
+                c[qb * levels + (b[cur_partner] >> shift)]++;
+            }
+            if ((size_t)(y - dy) < (size_t)rows && (size_t)(x - dx) < (size_t)cols) {
+                const int first = a[-prev_partner] >> shift;
+                if (first == b[-cur_partner] >> shift) {
+                    c[first * levels + qa]--;
+                    c[first * levels + qb]++;
+                }
+            }
+        }
+    }
+    return differs;
 }

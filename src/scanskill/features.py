@@ -289,11 +289,13 @@ def frame_features(
     whether the compiled kernel or numpy counts the pairs.
     """
     px = _pixels_of(frame, cfg.roi)
-    # From 2^32 pixels on, a uint32 table of the kernel could overflow.
-    kernel = _kernel() if px.size < 1 << 32 else None
-    counts, hist_counts = (
-        _numpy_counts(px, cfg) if kernel is None else _compiled_counts(kernel, px, cfg)
-    )
+    return _features(*_frame_counts(px, cfg), px.size, cfg)
+
+
+def _features(
+    counts: np.ndarray, hist_counts: np.ndarray, n: int, cfg: GlcmConfig
+) -> tuple[TextureFeatures, HistogramStats]:
+    """:func:`frame_features` of the counts of a region of ``n`` pixels."""
     P = _normalize(counts, cfg.symmetric).reshape(len(counts), -1)
     # Each row sum reduces one matrix as np.sum does in texture_features, and
     # Python's sum adds the offsets in order: the composition's exact result.
@@ -301,11 +303,18 @@ def frame_features(
     weights = _homogeneity_weights(cfg.levels).reshape(-1)
     homogeneity = sum(np.sum(P * weights, axis=1).tolist()) / len(P)
     texture = TextureFeatures(asm=asm, energy=math.sqrt(asm), homogeneity=homogeneity)
-    return texture, _histogram(hist_counts, px.size)
+    return texture, _histogram(hist_counts, n)
+
+
+def _frame_counts(px: np.ndarray, cfg: GlcmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_offsets, L, L) co-occurrence counts and 256-bin histogram of ``px``."""
+    # From 2^32 pixels on, a uint32 table of the kernel could overflow.
+    kernel = _kernel() if px.size < 1 << 32 else None
+    return _numpy_counts(px, cfg) if kernel is None else _compiled_counts(kernel, px, cfg)
 
 
 def _numpy_counts(px: np.ndarray, cfg: GlcmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (n_offsets, L, L) co-occurrence counts and 256-bin histogram of ``px``."""
+    """:func:`_frame_counts` in numpy."""
     q = quantize(px, cfg.levels)
     counts = np.stack([_pair_counts(q, offset, cfg.levels) for offset in cfg.offsets])
     return counts, np.bincount(px.ravel(), minlength=256)
@@ -358,6 +367,9 @@ def _kernel() -> ctypes.CDLL | None:
     kernel.pair_counts.restype = None
     kernel.histogram.argtypes = [ptr, size, size, size, ptr]
     kernel.histogram.restype = None
+    kernel.count_delta.argtypes = [ptr, size, ptr, size, size, size, ptr, ctypes.c_int,
+                                    ctypes.c_int, ptr, ptr]
+    kernel.count_delta.restype = ctypes.c_int
     return kernel
 
 
@@ -543,12 +555,13 @@ def compute_feature_table(session: Session, fused: FusedGrid, cfg: GlcmConfig) -
 
     Frame features are computed once per pixel source of
     ``session.frames`` that a grid instant reads, and shared by every grid
-    instant whose frame reads it.  The sources are visited in index order,
-    and a run of sources whose pixels are equal, byte for byte, to the one
-    before is featurised once, so a still probe costs one GLCM per run;
-    every source is still decoded or rendered, and each process holds at
-    most two sources' pixels at a time.  Large sessions compute the
-    features in a process pool, with identical results.
+    instant whose frame reads it.  The sources are visited in index order:
+    a run of sources whose regions are equal, byte for byte, to the one
+    before is featurised once, and a source's co-occurrence counts are moved
+    from the previous one's where few of its pixels changed level (see
+    :func:`_frame_rows`).  Every source is still decoded or rendered, and
+    each process holds at most two sources' pixels at a time.  Large
+    sessions compute the features in a process pool, with identical results.
     """
     n, t_us = len(fused), fused.t_us
     has_frame = fused.frame_idx >= 0
@@ -566,10 +579,11 @@ def compute_feature_table(session: Session, fused: FusedGrid, cfg: GlcmConfig) -
 
 
 # Below this many pixels across a session's distinct pixel sources the
-# features are computed serially.  On two cores, with the compiled kernel
-# counting, the pool breaks even at about 9 to 12 Mpx, both for 320x240
-# frames in memory and for 640x480 frames decoded from disk; the margin above
-# that keeps short sessions, whose saving would be within noise, off the pool.
+# features are computed serially.  On two cores, with most frames' counts
+# moved from the previous frame's, the pool breaks even at about 9 Mpx for
+# 320x240 phantoms rendered in memory, and at about 35 Mpx for 640x480
+# frames decoded from disk, which cost less to read than a phantom costs to
+# render.  The in-memory expert sessions of 17 to 25 Mpx still gain from it.
 _POOL_MIN_PIXELS = 1 << 24
 # Each worker takes about this many chunks of frames, so that a slow chunk
 # near the end leaves little idle time on the other workers.
@@ -599,34 +613,50 @@ def _pool_workers(sources: Sequence, indices: Sequence[int]) -> int:
 def _frame_rows(
     sources: Sequence, indices: Sequence[int], cfg: GlcmConfig
 ) -> list[tuple[float, ...]]:
-    """``_frame_row`` of the pixels of each ``sources[i]``, in the order of ``indices``.
+    """The six ``FeatureTable`` frame columns, asm to hist_entropy, of each
+    ``sources[i]`` in the order of ``indices``; each equals :func:`frame_features`'s.
 
-    Every source is decoded or rendered; one whose pixels equal the previous
-    one's reuses that row instead of calling :func:`frame_features` again.
+    Every source is decoded or rendered, and one whose region equals the
+    previous one's byte for byte reuses its row.  The first region, and one
+    shaped unlike the previous one, is counted in full; any other moves the
+    previous counts at the pixels whose level changed (``count_delta`` in
+    ``_glcm.c``), unless more than 1/16 of them did or no kernel was built.
     At most two sources' pixels are held at a time, the current and the
     previous one.
     """
+    kernel = _kernel()
+    scratch = np.empty(0, np.uint32)
     rows: list[tuple[float, ...]] = []
     previous = None
     for i in indices:
-        pixels = _read(sources[i])
-        if previous is None or not np.array_equal(pixels, previous):
-            row = _frame_row(pixels, cfg)
+        px = _pixels_of(_read(sources[i]), cfg.roi)
+        if px.strides[1] != 1:
+            px = np.ascontiguousarray(px)
+        # -1: count in full; 0: no byte differs; 1: counts updated in place.
+        if previous is None or previous.shape != px.shape:
+            change = -1
+        elif kernel is None or px.size >= 1 << 32:
+            change = 0 if np.array_equal(px, previous) else -1
+        else:
+            if scratch.size < 2 * (px.size // 16 + 8):
+                scratch = np.empty(2 * (px.size // 16 + 8), np.uint32)
+                # A full count has found every offset inside a region: each fits.
+                offsets = np.array(cfg.offsets, np.int64)
+            change = kernel.count_delta(
+                previous.ctypes.data, previous.strides[0], px.ctypes.data, px.strides[0],
+                *px.shape, offsets.ctypes.data, len(offsets), cfg.levels, counts.ctypes.data,
+                scratch.ctypes.data,
+            )
+        if change < 0:
+            counts, hist = _frame_counts(px, cfg)
+        elif change:
+            kernel.histogram(px.ctypes.data, px.strides[0], *px.shape, hist.ctypes.data)
+        if change:
+            tex, stats = _features(counts, hist, px.size, cfg)
+            row = (*tex, stats.mean, stats.variance, stats.entropy)
         rows.append(row)
-        previous = pixels
+        previous = px
     return rows
-
-
-def _frame_row(pixels: np.ndarray, cfg: GlcmConfig) -> tuple[float, ...]:
-    """The six ``FeatureTable`` frame columns, asm to hist_entropy, of one frame.
-
-    Only these floats outlive the call.  Each frame's histogram bins and
-    GLCM temporaries are freed before the next frame is decoded, so no small
-    per-frame array is left between the frame-sized blocks on the heap,
-    where it would keep the allocator from reusing them.
-    """
-    tex, hist = frame_features(pixels, cfg)
-    return (*tex, hist.mean, hist.variance, hist.entropy)
 
 
 def _distinct_frame_features(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import scanskill
 
+from scanskill import features
 from scanskill.core import SessionMeta
 from scanskill.fusion import hemisphere_align
 from scanskill.ingest import Frame, Frames, PoseSample, Poses, Session, load_session
@@ -220,6 +221,78 @@ def assert_same_table(a, b) -> None:
     assert len(a) == len(b)
     for column in dataclasses.fields(a):
         assert np.array_equal(getattr(a, column.name), getattr(b, column.name), equal_nan=True)
+
+
+def abandons_delta(prev: np.ndarray, cur: np.ndarray, levels: int) -> bool:
+    """Whether ``count_delta`` gives up on the regions ``prev`` then ``cur``, of one shape.
+
+    It does when more than 1/16 of the region's pixels change level, or when
+    more than 1/16 of those in the rows scanned so far did after any row from
+    the 8th on.
+    """
+    shift = 9 - levels.bit_length()
+    scanned = np.cumsum(np.count_nonzero(prev >> shift != cur >> shift, axis=1))
+    rows = np.arange(1, len(scanned) + 1)
+    return bool(scanned[-1] * 16 > prev.size
+                or np.any(scanned[7:] * 16 > rows[7:] * prev.shape[1]))
+
+
+def full_count_regions(regions: list[np.ndarray], levels: int, starts=(0,)) -> list[np.ndarray]:
+    """The regions, in order, that ``features._frame_rows`` counts in full when it
+    takes ``regions`` in chunks that begin at the positions ``starts``.
+
+    Those are the chunk starts, each region whose shape differs from the one
+    before, and each other region that differs from the one before and on
+    which the delta gives up, or that differs at all where the kernel is
+    missing.
+    """
+    compiled = features._kernel() is not None
+    return [
+        px for k, px in enumerate(regions)
+        if k in starts or px.shape != regions[k - 1].shape
+        or (not np.array_equal(px, regions[k - 1])
+            and (not compiled or abandons_delta(regions[k - 1], px, levels)))
+    ]
+
+
+def log_frame_rows(monkeypatch, reads: list, full: list) -> None:
+    """Append each pixel source ``features._frame_rows`` reads to ``reads`` and a
+    copy of each region it counts in full to ``full``.
+
+    Pool workers forked later log too when the lists are a manager's.
+    """
+    read, frame_counts = features._read, features._frame_counts
+
+    def logged_read(source):
+        reads.append(source)
+        return read(source)
+
+    def logged_frame_counts(px, cfg):
+        full.append(px.copy())
+        return frame_counts(px, cfg)
+
+    monkeypatch.setattr(features, "_read", logged_read)
+    monkeypatch.setattr(features, "_frame_counts", logged_frame_counts)
+
+
+def assert_same_regions(a: list[np.ndarray], b: list[np.ndarray]) -> None:
+    assert len(a) == len(b)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def assert_rows_equal_frame_features(table, session: Session, fused, cfg) -> None:
+    """Each frame column of ``table`` equals ``frame_features`` of its grid
+    instant's frame exactly, and is NaN at an instant with no frame."""
+    oracle = {}
+    for k, i in enumerate(fused.frame_idx.tolist()):
+        row = tuple(getattr(table, name)[k] for name in features.FRAME_COLUMNS)
+        if i < 0:
+            assert all(map(np.isnan, row))
+            continue
+        if i not in oracle:
+            tex, hist = features.frame_features(session.frames[i], cfg)
+            oracle[i] = (*tex, hist.mean, hist.variance, hist.entropy)
+        assert row == oracle[i]
 
 
 def private_copies(session: Session) -> Session:

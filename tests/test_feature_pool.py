@@ -23,7 +23,10 @@ from scanskill.synth import build_session, novice_profile
 from conftest import (
     IDENTITY,
     SHARED_SOURCE_SESSIONS,
+    assert_rows_equal_frame_features,
     assert_same_table,
+    full_count_regions,
+    log_frame_rows,
     make_session,
     repeated_frames_session,
     run_python,
@@ -231,18 +234,23 @@ def test_pooled_runs_of_equal_frames(tmp_path, monkeypatch):
     repeats = [np.array_equal(session.frames[i].pixels, session.frames[j].pixels)
                for i, j in zip(used, used[1:])]
     assert any(repeats[k - 1] for k in range(chunksize, len(used), chunksize))
-    runs = sum(k % chunksize == 0 or not repeats[k - 1] for k in range(len(used)))
-    calls = multiprocessing.get_context("fork").Value("i", 0)
-    real = features.frame_features
-
-    def counted(px, cfg):
-        with calls.get_lock():
-            calls.value += 1
-        return real(px, cfg)
-
-    monkeypatch.setattr(features, "frame_features", counted)
-    assert_same_table(serial, compute_feature_table(session, fused, GlcmConfig()))
-    assert calls.value == runs
+    pixels = [session.frames[i].pixels for i in used]
+    starts = range(0, len(used), chunksize)
+    expected = full_count_regions(pixels, GlcmConfig().levels, starts)
+    # At most each run's head is counted in full, and each chunk's start.
+    assert len(expected) <= sum(k % chunksize == 0 or not repeats[k - 1]
+                                for k in range(len(used)))
+    with multiprocessing.get_context("fork").Manager() as manager, \
+            pytest.MonkeyPatch.context() as mp:
+        reads, full = manager.list(), manager.list()
+        log_frame_rows(mp, reads, full)
+        table = compute_feature_table(session, fused, GlcmConfig())
+        reads, full = list(reads), list(full)
+    assert_same_table(serial, table)
+    # Each file is read once; the chunks ran in any order.
+    assert sorted(reads) == sorted(session.frames.sources[i] for i in used)
+    assert sorted(px.tobytes() for px in full) == sorted(px.tobytes() for px in expected)
+    assert_rows_equal_frame_features(table, session, fused, GlcmConfig())
     for command in ("features", "report"):
         assert main([command, "--session", str(root), "--out", str(tmp_path / "pooled")]) == 0
     for name in ("features.csv", "report.json"):
@@ -259,7 +267,7 @@ from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import load_session
 
 features._POOL_MIN_PIXELS = 0
-features.frame_features = lambda frame, cfg: os._exit(7)
+features._frame_counts = lambda px, cfg: os._exit(7)
 session = load_session(sys.argv[1])
 fused = fuse_streams(session, ResampleConfig())
 try:

@@ -32,11 +32,17 @@ from scanskill.features import (
 )
 from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import Frame, Frames, PoseSample, Poses, load_session
+from scanskill.synth import build_session, expert_profile
 
 from conftest import (
     IDENTITY,
     SHARED_SOURCE_SESSIONS,
+    abandons_delta,
+    assert_rows_equal_frame_features,
+    assert_same_regions,
     assert_same_table,
+    full_count_regions,
+    log_frame_rows,
     make_session,
     private_copies,
     python_env,
@@ -455,6 +461,14 @@ class TestCompiledKernel:
                 numpy_bytes = (outs["numpy"] / file).read_bytes()
                 assert numpy_bytes == (outs["compiled"] / file).read_bytes(), file
 
+    def test_source_compiles_with_warnings_as_errors(self):
+        proc = subprocess.run(
+            ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             str(features._KERNEL_SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_concurrent_first_builds_leave_one_library(self, tmp_path):
         code = "from scanskill import features; assert features._kernel() is not None"
         env = python_env(XDG_CACHE_HOME=str(tmp_path))
@@ -464,6 +478,111 @@ class TestCompiledKernel:
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
         assert [p.suffix for p in (tmp_path / "scanskill").iterdir()] == [".so"]
+
+
+@needs_cc
+class TestDeltaCounts:
+    """``_frame_rows`` updates each region's counts from the previous one's at
+    the pixels whose level changed, and its rows equal ``frame_features``'s."""
+
+    @staticmethod
+    def rows_and_full_counts(sources, cfg):
+        full = []
+        with pytest.MonkeyPatch.context() as mp:
+            log_frame_rows(mp, [], full)
+            rows = features._frame_rows(sources, range(len(sources)), cfg)
+        return rows, full
+
+    @staticmethod
+    def oracle_row(px, cfg):
+        tex, hist = frame_features(px, cfg)
+        return (*tex, hist.mean, hist.variance, hist.entropy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.sampled_from([8, 16, 32, 64]),
+        symmetric=st.booleans(),
+        offsets=st.sampled_from([((1, 0), (0, 1), (1, 1), (-1, 1)), ((-1, -2), (3, 1)),
+                                 ((-3, 0), (2, 0)), ((0, 2),)]),
+        geometries=st.lists(
+            st.sampled_from([(1, 13), (9, 1)]) | st.tuples(st.integers(1, 24), st.integers(1, 40)),
+            min_size=1, max_size=2,
+        ),
+        roi_margin=st.none() | st.integers(0, 2),
+        # Per later frame: its geometry, the share of its pixels redrawn, and
+        # whether low bits, which no level count sees, flip too.
+        steps=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.01, 1 / 16, 0.2, 1.0]),
+                                 st.booleans()), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_frame_features(
+        self, levels, symmetric, offsets, geometries, roi_margin, steps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        roi = None
+        if roi_margin is not None:
+            h, w = map(min, zip(*geometries))
+            roi = (roi_margin, roi_margin, max(1, w - 2 * roi_margin), max(1, h - 2 * roi_margin))
+        cfg = GlcmConfig(levels=levels, offsets=offsets, symmetric=symmetric, roi=roi)
+        last = [rng.integers(0, 256, shape, dtype=np.uint8) for shape in geometries]
+        frames = [last[0]]
+        for geometry, rate, low_bits in steps:
+            geometry %= len(last)
+            px = last[geometry].copy()
+            redrawn = rng.random(px.shape) < rate
+            px[redrawn] = rng.integers(0, 256, np.count_nonzero(redrawn))
+            if low_bits:
+                px ^= rng.integers(0, 2, px.shape, dtype=np.uint8)
+            frames.append(px)
+            last[geometry] = px
+        sources = Frames(40_000 * np.arange(len(frames)), range(len(frames)), frames).sources
+        try:
+            want = [self.oracle_row(px, cfg) for px in frames]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                features._frame_rows(sources, range(len(frames)), cfg)
+            return
+        rows, full = self.rows_and_full_counts(sources, cfg)
+        assert rows == want
+        regions = [features._pixels_of(px, roi) for px in frames]
+        assert_same_regions(full, full_count_regions(regions, levels))
+
+    # Level changes per row of a 64x64 region, where 1/16 is 256 pixels, or
+    # 32 in its first 8 rows, and whether the delta gives up on them.
+    LIMIT_CASES = {
+        "256 spread": ([4] * 64, False),
+        "257 spread": ([4] * 63 + [5], True),
+        "32 in the first 8 rows": ([4] * 8 + [0] * 56, False),
+        "33 in the first 8 rows": ([5] + [4] * 7 + [0] * 56, True),
+    }
+
+    @pytest.mark.parametrize("case", LIMIT_CASES)
+    def test_delta_gives_up_past_a_sixteenth(self, case):
+        per_row, abandoned = self.LIMIT_CASES[case]
+        rng = np.random.default_rng(5)
+        prev = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        cur = prev.copy()
+        for y, n in enumerate(per_row):
+            cur[y, rng.choice(64, n, replace=False)] ^= 0x80
+        assert abandons_delta(prev, cur, 32) == abandoned
+        rows, full = self.rows_and_full_counts([prev, cur], GlcmConfig())
+        assert rows == [self.oracle_row(px, GlcmConfig()) for px in (prev, cur)]
+        assert_same_regions(full, [prev, cur] if abandoned else [prev])
+
+    def test_phantom_session_counts_under_a_quarter_of_run_heads_in_full(self, monkeypatch):
+        session = build_session(expert_profile(6, frame_width=64, frame_height=48))
+        fused = fuse_streams(session, ResampleConfig())
+        cfg = GlcmConfig()
+        used = np.unique(session.frames.source[fused.frame_idx[fused.frame_idx >= 0]])
+        regions = [Frame(0, session.frames.sources[k]).pixels for k in used]
+        heads = 1 + sum(not np.array_equal(a, b) for a, b in zip(regions, regions[1:]))
+        reads, full = [], []
+        log_frame_rows(monkeypatch, reads, full)
+        table = compute_feature_table(session, fused, cfg)
+        assert list(map(id, reads)) == [id(session.frames.sources[k]) for k in used]
+        assert 4 * len(full) < heads
+        assert_same_regions(full, full_count_regions(regions, cfg.levels))
+        assert_rows_equal_frame_features(table, session, fused, cfg)
 
 
 class TestHistogram:
@@ -761,25 +880,19 @@ class TestFeatureTable:
     def test_frame_features_once_per_pixel_source(self, kind, tmp_path, monkeypatch):
         session = shared_source_session(kind, tmp_path)
         fused = fuse_streams(session, ResampleConfig())
-        used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
-        sources = sorted({session.frames.source[i] for i in used})
+        cfg = GlcmConfig()
+        used = np.unique(fused.frame_idx[fused.frame_idx >= 0])
+        sources = [session.frames.sources[k] for k in np.unique(session.frames.source[used])]
         assert len(sources) < len(used)
-        # Sources are visited in index order, and one whose pixels equal the
-        # previous source's reuses its row.
-        pixels = [Frame(0, session.frames.sources[k]).pixels for k in sources]
-        heads = [px for k, px in enumerate(pixels)
-                 if k == 0 or not np.array_equal(px, pixels[k - 1])]
-        seen = []
-        real = features.frame_features
-
-        def counted(px, cfg):
-            seen.append(px)
-            return real(px, cfg)
-
-        monkeypatch.setattr(features, "frame_features", counted)
-        compute_feature_table(session, fused, GlcmConfig())
-        assert len(seen) == len(heads)
-        assert all(np.array_equal(a, b) for a, b in zip(seen, heads))
+        regions = [Frame(0, source).pixels for source in sources]
+        reads, full = [], []
+        log_frame_rows(monkeypatch, reads, full)
+        table = compute_feature_table(session, fused, cfg)
+        # Each source is read once, in index order.  Only the first is
+        # counted in full, and each one on which the delta gives up.
+        assert list(map(id, reads)) == list(map(id, sources))
+        assert_same_regions(full, full_count_regions(regions, cfg.levels))
+        assert_rows_equal_frame_features(table, session, fused, cfg)
 
     @pytest.mark.parametrize("kind", SHARED_SOURCE_SESSIONS)
     def test_shared_sources_equal_private_copies(self, kind, tmp_path):
@@ -794,30 +907,21 @@ class TestFeatureTable:
         session = load_session(repeated_frames_session(tmp_path))
         fused = fuse_streams(session, ResampleConfig())
         cfg = GlcmConfig()
-        used = sorted({s.frame_idx for s in fused if s.frame_idx is not None})
+        used = np.unique(fused.frame_idx[fused.frame_idx >= 0]).tolist()
         pixels = [session.frames[i].pixels for i in used]
         runs = 1 + sum(not np.array_equal(a, b) for a, b in zip(pixels, pixels[1:]))
         assert runs < len(used) // 2
-        calls = []
-        real = features.frame_features
-
-        def counted(px, cfg):
-            calls.append(px)
-            return real(px, cfg)
-
-        monkeypatch.setattr(features, "frame_features", counted)
+        reads, full = [], []
+        log_frame_rows(monkeypatch, reads, full)
         table = compute_feature_table(session, fused, cfg)
-        assert len(calls) == runs
+        # One file per frame: each is read once, and a run of equal frames
+        # is counted in full at most at its head.
+        assert reads == [session.frames.sources[i] for i in used]
+        expected = full_count_regions(pixels, cfg.levels)
+        assert len(expected) <= runs
+        assert_same_regions(full, expected)
         assert_same_table(table, compute_feature_table(private_copies(session), fused, cfg))
-        oracle = {i: real(session.frames[i], cfg) for i in used}
-        columns = ("asm", "energy", "homogeneity", "hist_mean", "hist_var", "hist_entropy")
-        for k, sample in enumerate(fused):
-            row = tuple(getattr(table, name)[k] for name in columns)
-            if sample.frame_idx is None:
-                assert all(map(math.isnan, row))
-            else:
-                tex, hist = oracle[sample.frame_idx]
-                assert row == (*tex, hist.mean, hist.variance, hist.entropy)
+        assert_rows_equal_frame_features(table, session, fused, cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(n_arrays=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
