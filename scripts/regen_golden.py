@@ -5,7 +5,8 @@ Synthesises an expert and a novice session at 64x48 and runs ``validate``,
 ``fuse``, ``features``, ``report`` and ``export-plot`` on each, in process
 through ``scanskill.cli.main``.  The file holds a sha256 of each file
 written, ``validate``'s stdout and exit code, ``report.json`` in full, and
-the numpy version and platform it was made with.  ``tests/test_golden.py``
+what it was made with: the numpy version, the platform, numpy's enabled CPU
+dispatch targets and the OpenBLAS core.  ``tests/test_golden.py``
 recomputes the same document and compares; a change that alters outputs on
 purpose regenerates the file and says which digests changed and why.
 
@@ -14,6 +15,7 @@ Example:
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -41,8 +43,44 @@ COMMAND_OUTPUTS = {
 
 
 def environment() -> dict:
-    """What the digests depend on besides the code: the numpy build and the platform."""
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+    """What the digests depend on besides the code: the numpy build, the
+    platform, and the CPU code paths numpy and its OpenBLAS picked at run time."""
+    return {
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.machine()}",
+        "numpy_cpu_dispatch": _numpy_cpu_dispatch(),
+        "openblas_core": _openblas_core(),
+    }
+
+
+def _numpy_cpu_dispatch() -> dict:
+    """Whether each of numpy's run-time dispatch targets is enabled on this CPU;
+    ``NPY_DISABLE_CPU_FEATURES`` turns some off."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return {name: bool(umath.__cpu_features__.get(name)) for name in umath.__cpu_dispatch__}
+
+
+# The core-name query of OpenBLAS, under the prefixes and suffixes that wheels build it with.
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename")
+
+
+def _openblas_core() -> str | None:
+    """The kernel set the OpenBLAS bundled with numpy picked at load (``OPENBLAS_CORETYPE``
+    overrides it), or None where numpy bundles no OpenBLAS that can say."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        # Already loaded by numpy, so this is the same handle and the same pick.
+        blas = ctypes.CDLL(str(lib))
+        for symbol in _CORENAME_SYMBOLS:
+            if hasattr(blas, symbol):
+                corename = getattr(blas, symbol)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def golden_document(workdir: Path) -> dict:

@@ -14,10 +14,9 @@ Disjoint streams are an error.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -129,7 +128,7 @@ def hemisphere_align(q: np.ndarray) -> np.ndarray:
     if len(q) < 2:
         return q.copy()
     # Stacked 1x4 @ 4x1 products compute each step as np.dot does, so these
-    # signs agree with the one-row rule in StreamingFuser.push_pose.
+    # signs agree with the one-row rule "negate when np.dot(previous, row) < 0".
     dots = (q[:-1, None, :] @ q[1:, :, None])[:, 0, 0]
     signs = np.cumprod(np.concatenate([[1.0], np.where(dots < 0.0, -1.0, 1.0)]))
     # Restart the product at +1 on every step that is neither < 0 nor > 0.
@@ -214,44 +213,32 @@ def _associate_frames(
 
 def fuse_streams(session: Session, cfg: ResampleConfig) -> FusedGrid:
     """Fuse a session's pose and frame streams onto the uniform grid."""
-    if len(session.poses) < 2:
+    return _fuse(session.poses.t_us, session.poses.q, session.frames.t_us, cfg)
+
+
+def _fuse(
+    pose_t: np.ndarray, q: np.ndarray, frame_t: np.ndarray, cfg: ResampleConfig
+) -> FusedGrid:
+    """Fuse increasing int64 pose times and their ``(n, 4)`` unit quaternions
+    with increasing int64 frame times."""
+    if len(pose_t) < 2:
         raise ValueError("cannot interpolate")
-    pose_t, frame_t = session.poses.t_us, session.frames.t_us
     if not frame_t.size or frame_t[0] > pose_t[-1] or pose_t[0] > frame_t[-1]:
         raise ValueError("streams do not overlap in time")
-    quats = hemisphere_align(session.poses.q)
+    quats = hemisphere_align(q)
 
     start = max(int(pose_t[0]), int(frame_t[0]))
     origin = int(pose_t[np.searchsorted(pose_t, start, side="left")])
-    return _fuse_span(pose_t, quats, frame_t, origin, int(pose_t[-1]), cfg)
-
-
-def _fuse_span(
-    pose_t: Sequence[int],
-    quats: np.ndarray,
-    frame_t: Sequence[int],
-    first_t: int,
-    last_t: int,
-    cfg: ResampleConfig,
-    frame_offset: int = 0,
-) -> FusedGrid:
-    """Fuse the grid instants ``first_t + k·delta_t_us <= last_t``.
-
-    ``frame_offset`` is the session index of ``frame_t[0]``.
-    """
-    pose_t = np.asarray(pose_t, dtype=np.int64)
-    frame_t = np.asarray(frame_t, dtype=np.int64)
-    n = (last_t - first_t) // cfg.delta_t_us + 1
+    span = int(pose_t[-1]) - origin
+    n = span // cfg.delta_t_us + 1
     try:
-        grid = first_t + cfg.delta_t_us * np.arange(n, dtype=np.int64)
+        grid = origin + cfg.delta_t_us * np.arange(n, dtype=np.int64)
     except MemoryError as exc:
         raise MemoryError(
-            f"cannot allocate a grid of {n} instants: {last_t - first_t} us"
-            f" at delta_t_us {cfg.delta_t_us}"
+            f"cannot allocate a grid of {n} instants: {span} us at delta_t_us {cfg.delta_t_us}"
         ) from exc
     out_q = _interpolate_on_grid(pose_t, quats, grid, cfg.pose_policy)
     f_idx, f_stale = _associate_frames(frame_t, grid, cfg)
-    f_idx[f_idx >= 0] += frame_offset
     return FusedGrid(grid, out_q, f_idx, f_stale)
 
 
@@ -263,88 +250,34 @@ def write_fused_csv(path: str | Path, fused: FusedGrid) -> None:
 
 
 class StreamingFuser:
-    """Incremental fuser producing exactly the :func:`fuse_streams` output.
+    """Push-style front end to :func:`fuse_streams` for a whole session.
 
     Feed each stream in timestamp order through :meth:`push_pose` /
-    :meth:`push_frame`; every call returns the fused samples that became
-    final.  Call :meth:`finish` after both streams end to flush the tail.
-
-    A grid instant becomes final once the pose stream has reached it and the
-    frame stream has advanced ``max_frame_staleness_us`` past it.  Each push
-    fuses the whole span of newly final instants with the batch grid code,
-    then drops the poses before the bracketing pair of the next instant and
-    the frames behind its staleness horizon.  The buffers therefore grow with
-    how far the frame stream lags the pose stream, not with session length:
-    while frames stall, every pose pushed since stays buffered, and the next
-    frame past the window releases that backlog at once.
+    :meth:`push_frame`; each call checks the order, keeps the sample and
+    returns no fused samples.  :meth:`finish` fuses everything pushed and
+    returns it as :class:`FusedSample` views, equal to the rows of
+    :func:`fuse_streams` on the same streams.  The whole session stays
+    buffered until then.
     """
 
     def __init__(self, cfg: ResampleConfig) -> None:
         self._cfg = cfg
-        self._pose_t: list[int] = []
-        self._quats: list[np.ndarray] = []  # hemisphere-aligned
+        self._poses: list[PoseSample] = []
         self._frame_t: list[int] = []
-        self._dropped_frames = 0  # session index of self._frame_t[0]
-        # Kept apart from the pruned buffers, for the overlap check in finish().
-        self._first_pose_t: int | None = None
-        self._last_frame_t: int | None = None
-        self._next_t: int | None = None  # next grid instant to emit
 
     def push_pose(self, pose: PoseSample) -> list[FusedSample]:
-        if self._pose_t and pose.t_us <= self._pose_t[-1]:
+        if self._poses and pose.t_us <= self._poses[-1].t_us:
             raise ValueError("pose timestamps must be strictly increasing")
-        q = pose.q
-        if self._quats and float(np.dot(self._quats[-1], q)) < 0.0:
-            q = -q
-        if self._first_pose_t is None:
-            self._first_pose_t = pose.t_us
-        self._pose_t.append(pose.t_us)
-        self._quats.append(q)
-        return self._emit(flush=False)
+        self._poses.append(pose)
+        return []
 
     def push_frame(self, t_us: int) -> list[FusedSample]:
-        if self._last_frame_t is not None and t_us <= self._last_frame_t:
+        if self._frame_t and t_us <= self._frame_t[-1]:
             raise ValueError("frame timestamps must be strictly increasing")
         self._frame_t.append(t_us)
-        self._last_frame_t = t_us
-        return self._emit(flush=False)
+        return []
 
     def finish(self) -> list[FusedSample]:
-        if len(self._pose_t) < 2:
-            raise ValueError("cannot interpolate")
-        if self._last_frame_t is None or self._last_frame_t < self._first_pose_t:
-            raise ValueError("streams do not overlap in time")
-        out = self._emit(flush=True)
-        if self._next_t is None:
-            raise ValueError("streams do not overlap in time")
-        return out
-
-    def _emit(self, flush: bool) -> list[FusedSample]:
-        pose_t, frame_t, cfg = self._pose_t, self._frame_t, self._cfg
-        if len(pose_t) < 2 or not frame_t:
-            return []
-        if self._next_t is None:
-            # Nothing is dropped before the origin is set, so the buffers
-            # still start with each stream's first sample.
-            start = max(pose_t[0], frame_t[0])
-            i = bisect.bisect_left(pose_t, start)
-            if i == len(pose_t):
-                return []  # wait for a pose inside the overlap
-            self._next_t = pose_t[i]
-        end_t = pose_t[-1]
-        if not flush:
-            end_t = min(end_t, frame_t[-1] - cfg.max_frame_staleness_us)
-        if end_t < self._next_t:
-            return []
-        out = list(_fuse_span(
-            pose_t, np.stack(self._quats), frame_t, self._next_t, end_t, cfg, self._dropped_frames
-        ))
-        self._next_t = out[-1].t_us + cfg.delta_t_us
-        # Keep the bracketing pose pair of the next instant and everything later.
-        drop = min(bisect.bisect_right(pose_t, self._next_t) - 1, len(pose_t) - 2)
-        del pose_t[:drop], self._quats[:drop]
-        # Frames behind the staleness horizon can never be selected again.
-        drop = bisect.bisect_left(frame_t, self._next_t - cfg.max_frame_staleness_us)
-        del frame_t[:drop]
-        self._dropped_frames += drop
-        return out
+        pose_t = np.array([p.t_us for p in self._poses], dtype=np.int64)
+        q = np.array([p.q for p in self._poses], dtype=np.float64).reshape(-1, 4)
+        return list(_fuse(pose_t, q, np.array(self._frame_t, dtype=np.int64), self._cfg))

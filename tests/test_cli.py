@@ -647,8 +647,9 @@ class TestEntryPoints:
         assert ("scanskill.cli", "main") in imported
 
     def test_benchmark_traced_selftest_passes(self):
-        # The traced replay builds Session(...) from the readers' output and runs
-        # validate_session, StreamingFuser and build_report, so a change to the
+        # The traced replay builds Session(...) from the readers' output, runs
+        # validate_session and build_report, and checks that pushing the session
+        # through StreamingFuser gives fuse_streams' grid, so a change to the
         # package that the benchmark's replay cannot run fails here.
         run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
         proc = run_python(str(run), "--workload", "report-640", "--seed", "1", "--seconds", "1",

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -480,6 +481,52 @@ class TestCompiledKernel:
         assert [p.suffix for p in (tmp_path / "scanskill").iterdir()] == [".so"]
 
 
+# Runs _frame_rows on random regions with the kernel built under the address
+# and undefined-behaviour sanitizers, which abort the process at the first
+# report, and checks each row against frame_features.  Prints the number of
+# configs checked.
+_SANITIZED_ROWS = """
+import sys
+import numpy as np
+from scanskill import features
+from scanskill.features import GlcmConfig, frame_features
+
+features._KERNEL_FLAGS += ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+assert features._kernel() is not None
+rng = np.random.default_rng(0)
+
+
+def displacement(side):
+    # To the far edge half of the time, else anywhere that still fits.
+    if rng.random() < 0.5:
+        return int(rng.choice([1 - side, side - 1]))
+    return int(rng.integers(1 - side, side))
+
+
+checked = 0
+for _ in range(int(sys.argv[1])):
+    h, w = (int(side) for side in rng.integers(1, 41, 2))
+    offsets = {(displacement(w), displacement(h)) for _ in range(rng.integers(1, 5))}
+    cfg = GlcmConfig(levels=int(rng.choice([8, 16, 32, 64])),
+                     offsets=tuple(offsets - {(0, 0)}) or ((1, 0),),
+                     symmetric=bool(rng.integers(2)))
+    frames = [rng.integers(0, 256, (h, w), dtype=np.uint8)]
+    for rate in rng.choice([0.0, 0.005, 0.03, 1 / 16, 0.1, 0.5, 1.0], 4):
+        px = frames[-1].copy()
+        redrawn = rng.random(px.shape) < rate
+        px[redrawn] = rng.integers(0, 256, np.count_nonzero(redrawn), dtype=np.uint8)
+        frames.append(px)
+    try:
+        want = [(*tex, hist.mean, hist.variance, hist.entropy)
+                for tex, hist in map(frame_features, frames, [cfg] * len(frames))]
+    except ValueError:  # only (0, 0) drawn, and (1, 0) does not fit a 1-pixel width
+        continue
+    assert features._frame_rows(frames, range(len(frames)), cfg) == want, cfg
+    checked += 1
+print(checked)
+"""
+
+
 @needs_cc
 class TestDeltaCounts:
     """``_frame_rows`` updates each region's counts from the previous one's at
@@ -568,6 +615,17 @@ class TestDeltaCounts:
         rows, full = self.rows_and_full_counts([prev, cur], GlcmConfig())
         assert rows == [self.oracle_row(px, GlcmConfig()) for px in (prev, cur)]
         assert_same_regions(full, [prev, cur] if abandoned else [prev])
+
+    def test_rows_equal_frame_features_under_sanitizers(self, tmp_path):
+        libasan = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(libasan):  # cc prints the bare name when it has none
+            pytest.skip("needs libasan")
+        # The flags are part of the library's cache key: this builds a separate one.
+        proc = run_python("-c", _SANITIZED_ROWS, "300", LD_PRELOAD=libasan,
+                          ASAN_OPTIONS="detect_leaks=0", XDG_CACHE_HOME=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 250
 
     def test_phantom_session_counts_under_a_quarter_of_run_heads_in_full(self, monkeypatch):
         session = build_session(expert_profile(6, frame_width=64, frame_height=48))

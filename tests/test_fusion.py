@@ -357,8 +357,8 @@ class TestFusedGrid:
         cfg = ResampleConfig()
         fused = fuse_streams(session, cfg)
         fuser = StreamingFuser(cfg)
-        streamed = _push_in_time_order(fuser, session.poses, [f.t_us for f in session.frames])
-        streamed += fuser.finish()
+        _push_in_time_order(fuser, session.poses, [f.t_us for f in session.frames])
+        streamed = fuser.finish()
         assert any(s.frame_idx is None for s in streamed)
         _assert_same_fused(streamed, fused)
         assert fused.t_us[-1] == streamed[-1].t_us
@@ -449,13 +449,11 @@ class TestResampleConfig:
         assert [(s.t_us, s.frame_idx) for s in fused] == [(0, 0)]
 
 
-def _push_in_time_order(fuser: StreamingFuser, poses, frame_times) -> list[FusedSample]:
-    # On equal timestamps the frame goes first.
+def _push_in_time_order(fuser: StreamingFuser, poses, frame_times) -> None:
+    # On equal timestamps the frame goes first.  No push returns a fused sample.
     events = [(p.t_us, 1, p) for p in poses] + [(t, 0, None) for t in frame_times]
-    out: list[FusedSample] = []
     for t_us, is_pose, pose in sorted(events, key=lambda e: (e[0], e[1])):
-        out += fuser.push_pose(pose) if is_pose else fuser.push_frame(t_us)
-    return out
+        assert (fuser.push_pose(pose) if is_pose else fuser.push_frame(t_us)) == []
 
 
 def _assert_same_fused(a: list[FusedSample], b: list[FusedSample]) -> None:
@@ -480,10 +478,8 @@ class TestStreamingFuser:
                 max_frame_staleness_us=50_000,
             )
             fuser = StreamingFuser(cfg)
-            streamed = _push_in_time_order(
-                fuser, session.poses, [f.t_us for f in session.frames]
-            )
-            streamed += fuser.finish()
+            _push_in_time_order(fuser, session.poses, [f.t_us for f in session.frames])
+            streamed = fuser.finish()
             _assert_same_fused(streamed, fuse_streams(session, cfg))
 
     @pytest.mark.parametrize("pose_policy", ["slerp", "nearest"])
@@ -501,29 +497,34 @@ class TestStreamingFuser:
         frame_times = list(range(0, 1_500_001, 40_000))
         cfg = ResampleConfig(delta_t_us=7_000, pose_policy=pose_policy)
         fuser = StreamingFuser(cfg)
-        streamed = _push_in_time_order(fuser, poses, frame_times) + fuser.finish()
+        _push_in_time_order(fuser, poses, frame_times)
+        streamed = fuser.finish()
         batch = fuse_streams(make_session(poses, [constant_frame(t) for t in frame_times]), cfg)
         _assert_same_fused(streamed, batch)
         assert all(_same_bits(a.q, b.q) for a, b in zip(streamed, batch))
 
-    def test_frame_stall_holds_then_releases_backlog(self):
-        cfg = ResampleConfig()  # 10 ms grid, 100 ms staleness window
-        rng = np.random.default_rng(9)
-        poses = smooth_pose_walk(rng, list(range(0, 2_000_001, 10_000)))
-        frame_times = list(range(0, 200_001, 40_000))
+    def test_rejects_out_of_order_pushes(self):
+        cfg = ResampleConfig()
+        poses = [PoseSample(t, IDENTITY.copy()) for t in (0, 10_000, 20_000)]
         fuser = StreamingFuser(cfg)
-        streamed = _push_in_time_order(fuser, poses[:21], frame_times)
-        assert streamed[-1].t_us == 100_000  # last frame (200 ms) minus the window
-        for pose in poses[21:]:  # frames stall from here on
-            assert fuser.push_pose(pose) == []
-        assert len(fuser._pose_t) > 180
-        late_frame = poses[-1].t_us + cfg.max_frame_staleness_us
-        backlog = fuser.push_frame(late_frame)
-        assert [s.t_us for s in backlog] == list(range(110_000, 2_000_001, 10_000))
-        assert len(fuser._pose_t) == 2 and fuser._frame_t == [late_frame]
-        assert fuser.finish() == []
-        session = make_session(poses, [constant_frame(t) for t in frame_times + [late_frame]])
-        _assert_same_fused(streamed + backlog, fuse_streams(session, cfg))
+        _push_in_time_order(fuser, poses[:2], [0, 40_000])
+        for t_us in (10_000, 5_000):
+            with pytest.raises(ValueError, match="pose timestamps must be strictly increasing"):
+                fuser.push_pose(PoseSample(t_us, Q90Z))
+        for t_us in (40_000, 30_000):
+            with pytest.raises(ValueError, match="frame timestamps must be strictly increasing"):
+                fuser.push_frame(t_us)
+        # A rejected sample is not kept.
+        assert fuser.push_pose(poses[2]) == []
+        session = make_session(poses, [constant_frame(t) for t in (0, 40_000)])
+        _assert_same_fused(fuser.finish(), fuse_streams(session, cfg))
+
+    def test_finish_needs_two_poses(self):
+        for pose_times in ([], [0]):
+            fuser = StreamingFuser(ResampleConfig())
+            _push_in_time_order(fuser, [PoseSample(t, IDENTITY.copy()) for t in pose_times], [0])
+            with pytest.raises(ValueError, match="cannot interpolate"):
+                fuser.finish()
 
     def test_streaming_rejects_disjoint(self):
         cfg = ResampleConfig()
@@ -537,7 +538,7 @@ class TestStreamingFuser:
             with pytest.raises(ValueError, match="streams do not overlap"):
                 fuse_streams(make_session(poses, frames), cfg)
             fuser = StreamingFuser(cfg)
-            assert _push_in_time_order(fuser, poses, frame_times) == []
+            _push_in_time_order(fuser, poses, frame_times)
             for _ in range(2):  # a repeated finish() raises again
                 with pytest.raises(ValueError, match="streams do not overlap"):
                     fuser.finish()
