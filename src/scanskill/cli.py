@@ -32,6 +32,12 @@ if TYPE_CHECKING:
     from .fusion import ResampleConfig
 
 
+# The exceptions that end a command with exit 3 and one ``error:`` line: json.load
+# raises RecursionError on deeply nested input, numpy MemoryError for a frame too
+# large to allocate, and a dead feature worker surfaces as ChildProcessError.
+_PIPELINE_ERRORS = (ValueError, OSError, KeyError, RecursionError, MemoryError)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanskill", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -107,22 +113,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except _pipeline_errors() as exc:
+    except _PIPELINE_ERRORS as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-
-
-def _pipeline_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that end a command with exit 3 and one ``error:`` line.
-
-    ``main`` calls this only once an exception reaches its handler, so the
-    commands that never start a process pool do not import concurrent.futures.
-    ``RecursionError`` is what ``json.load`` raises on deeply nested input,
-    ``MemoryError`` what numpy raises for a frame too large to allocate.
-    """
-    from concurrent.futures import BrokenExecutor
-
-    return (ValueError, OSError, KeyError, RecursionError, MemoryError, BrokenExecutor)
 
 
 def entry() -> None:  # console-script entry point

@@ -57,12 +57,8 @@ def q_normalize(q: np.ndarray) -> np.ndarray:
     if np.any(norm_sq == 0.0):
         raise ValueError("degenerate quaternion")
     out = q.copy()
-    needs = np.abs(norm_sq - 1.0) > _UNIT_NORM_SQ_TOL
-    if q.ndim == 1:
-        if needs:
-            out /= np.sqrt(norm_sq)
-    elif np.any(needs):
-        out[needs] /= np.sqrt(norm_sq[needs])[..., None]
+    needs = np.abs(norm_sq - 1.0) > _UNIT_NORM_SQ_TOL  # 0-d for a single quaternion
+    out[needs] /= np.sqrt(norm_sq[needs])[..., None]
     return out
 
 
@@ -147,6 +143,11 @@ class SessionMeta:
 def is_int(value) -> bool:
     """True for an ``int`` that is not a ``bool`` (JSON ``true`` is no integer)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_int_seq(value, n: int) -> bool:
+    """True for a list or tuple of ``n`` integers."""
+    return isinstance(value, (list, tuple)) and len(value) == n and all(map(is_int, value))
 
 
 def check_int(name: str, value) -> None:

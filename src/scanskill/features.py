@@ -20,14 +20,15 @@ import multiprocessing
 import os
 import threading
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import check_int, check_real, is_int, q_geodesic_angle, q_inverse, q_multiply
+from .core import check_int, check_real, is_int, is_int_seq, q_geodesic_angle, q_inverse
+from .core import q_multiply
 from .ingest import Frame, Poses, Session, _read, _uint8_pixels, _write_csv
 
 if TYPE_CHECKING:
@@ -78,7 +79,7 @@ class GlcmConfig:
         if not is_int(self.levels) or self.levels not in ALLOWED_LEVELS:
             raise ValueError(f"levels must be one of {ALLOWED_LEVELS}, got {self.levels!r}")
         if not isinstance(self.offsets, (list, tuple)) or not all(
-            _is_int_seq(pair, 2) for pair in self.offsets
+            is_int_seq(pair, 2) for pair in self.offsets
         ):
             raise ValueError(f"offsets must be (dx, dy) integer pairs, got {self.offsets!r}")
         offsets = tuple(map(tuple, self.offsets))
@@ -90,17 +91,12 @@ class GlcmConfig:
         if not isinstance(self.symmetric, bool):
             raise ValueError(f"symmetric must be a bool, got {self.symmetric!r}")
         if self.roi is not None:
-            if not _is_int_seq(self.roi, 4):
+            if not is_int_seq(self.roi, 4):
                 raise ValueError(f"roi must be None or (x, y, w, h) integers, got {self.roi!r}")
             x, y, w, h = self.roi
             if w <= 0 or h <= 0 or x < 0 or y < 0:
                 raise ValueError("roi must be (x, y, w, h) with positive size")
             object.__setattr__(self, "roi", tuple(self.roi))
-
-
-def _is_int_seq(value, n: int) -> bool:
-    """True for a list or tuple of ``n`` integers."""
-    return isinstance(value, (list, tuple)) and len(value) == n and all(map(is_int, value))
 
 
 class TextureFeatures(NamedTuple):
@@ -670,7 +666,7 @@ def _distinct_frame_features(
     chunk).  The workers inherit ``sources`` and ``cfg`` through the fork
     and decode files, or render phantoms, themselves, so the caller never
     holds the session's pixels.  A worker that dies raises
-    ``concurrent.futures.BrokenExecutor`` here.
+    ``ChildProcessError("a feature worker died: ...")`` here, an ``OSError``.
     """
     workers = _pool_workers(sources, indices)
     if workers <= 1:
@@ -678,13 +674,16 @@ def _distinct_frame_features(
     _kernel()  # loaded, or built, once here; the workers inherit it through the fork
     chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
     chunks = [indices[k : k + chunksize] for k in range(0, len(indices), chunksize)]
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(sources, cfg),
-    ) as pool:
-        return [row for rows in pool.map(_worker_frame_rows, chunks) for row in rows]
+    try:
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(sources, cfg),
+        ) as pool:
+            return [row for rows in pool.map(_worker_frame_rows, chunks) for row in rows]
+    except BrokenExecutor as exc:
+        raise ChildProcessError(f"a feature worker died: {exc}") from exc
 
 
 def _init_worker(sources: Sequence, cfg: GlcmConfig) -> None:

@@ -160,16 +160,14 @@ def _slerp_pairs(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     omega = 2.0 * np.arctan2(diff, summ)  # 4-vector angle; <= pi/2 when aligned
     out = np.empty_like(a)
     small = omega < _SLERP_MIN_ANGLE
-    if np.any(small):
-        us = u[small, None]
-        out[small] = (1.0 - us) * a[small] + us * b[small]
+    us = u[small, None]
+    out[small] = (1.0 - us) * a[small] + us * b[small]
     big = ~small
-    if np.any(big):
-        om = omega[big]
-        sin_om = np.sin(om)
-        w_a = np.sin((1.0 - u[big]) * om) / sin_om
-        w_b = np.sin(u[big] * om) / sin_om
-        out[big] = w_a[:, None] * a[big] + w_b[:, None] * b[big]
+    om = omega[big]
+    sin_om = np.sin(om)
+    w_a = np.sin((1.0 - u[big]) * om) / sin_om
+    w_b = np.sin(u[big] * om) / sin_om
+    out[big] = w_a[:, None] * a[big] + w_b[:, None] * b[big]
     return q_normalize(out)
 
 

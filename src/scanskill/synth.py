@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, SessionMeta, q_from_axis_angle, q_geodesic_angle, q_multiply
-from .core import q_normalize
+from .core import IDENTITY, INT64_MAX, SessionMeta, check_int, check_real, is_int, is_int_seq
+from .core import q_from_axis_angle, q_geodesic_angle, q_multiply, q_normalize
 from .fusion import _interpolate_on_grid, _slerp_pairs, hemisphere_align
 from .ingest import Frame, Frames, Poses, Session, write_session
 
@@ -94,10 +94,14 @@ class ProfileConfig:
     n_samples_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_CODE:
+        if not isinstance(self.kind, str) or self.kind not in _KIND_CODE:
             raise ValueError("profile kind must be expert|novice")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        for name in ("pose_rate_hz", "frame_rate_hz"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not (self.pose_rate_hz > 0 and self.frame_rate_hz > 0):
             raise ValueError("rates must be positive")
         for name in ("pose_rate_hz", "frame_rate_hz"):
@@ -107,8 +111,16 @@ class ProfileConfig:
             if not 0.5 < 1e6 / rate < INT64_MAX:
                 raise ValueError(f"{name} {rate!r} has no int64 whole-microsecond period; "
                                  "expected a rate from 1.1e-13 Hz to below 2 MHz")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise ValueError("frame geometry must be positive")
+        for name in ("frame_width", "frame_height"):
+            value = getattr(self, name)
+            if is_int(value) and value <= 0:
+                raise ValueError("frame geometry must be positive")
+            check_int(name, value)
+        if self.n_samples_range is not None:
+            if not is_int_seq(self.n_samples_range, 2):
+                raise ValueError("n_samples_range must be None or (lo, hi) integers, "
+                                 f"got {self.n_samples_range!r}")
+            object.__setattr__(self, "n_samples_range", tuple(self.n_samples_range))
         lo, hi = self.resolved_samples_range()
         if not (0 < lo <= hi):
             raise ValueError("n_samples_range must be a non-empty positive interval")
@@ -168,7 +180,6 @@ def gen_trajectory(profile: ProfileConfig) -> Poses:
 
     period_us = round(1e6 / profile.pose_rate_hz)
     target = profile.resolved_target()
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
 
     n_settle = max(1, round(_SETTLE_S * profile.pose_rate_hz))
     if profile.kind == "expert":
@@ -177,16 +188,9 @@ def gen_trajectory(profile: ProfileConfig) -> Poses:
         n_slew = n_total - n_idle - n_settle
         if n_slew < 2:
             raise ValueError("n_samples_range too small for an expert slew")
-        tau = np.arange(1, n_slew + 1) / n_slew
-        quats = np.concatenate(
-            [
-                np.tile(identity, (n_idle, 1)),
-                _slerp_fixed(identity, target, _quintic(tau)),
-                np.tile(target, (n_settle, 1)),
-            ]
-        )
+        quats = _slews([IDENTITY, target], [n_idle - 1, n_slew, n_settle])
     else:
-        quats = _novice_orientations(rng, n_total, n_settle, identity, target)
+        quats = _slews(*_novice_plan(rng, n_total, n_settle, target))
         tremor = _tremor_quats(rng, profile.pose_rate_hz, n_total)
         active = tremor[:, 0] != 1.0  # keep rest samples bit-exactly at rest
         quats[active] = q_normalize(q_multiply(quats[active], tremor[active]))
@@ -208,58 +212,55 @@ def _snap_to_frame_grid(n: int, lo: int, profile: ProfileConfig) -> int:
     return snapped
 
 
-def _novice_orientations(
-    rng: np.random.Generator,
-    n_total: int,
-    n_settle: int,
-    start: np.ndarray,
-    target: np.ndarray,
-) -> np.ndarray:
+def _novice_plan(
+    rng: np.random.Generator, n_total: int, n_settle: int, target: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The novice's waypoints from the identity to ``target`` and its chunk
+    counts for :func:`_slews`, drawn in ``gen_trajectory``'s documented order."""
     k = int(rng.integers(_NOVICE_SEGMENTS[0], _NOVICE_SEGMENTS[1] + 1))
 
-    waypoints = [start]
-    for i in range(1, k + 1):
-        base = _slerp_fixed(start, target, np.array([i / k]))[0]
-        if i < k:
-            axis = rng.standard_normal(3)
-            angle = float(rng.uniform(0.15, 0.5))
-            waypoints.append(q_normalize(q_multiply(q_from_axis_angle(axis, angle), base)))
-        else:
-            waypoints.append(target)
+    waypoints = [IDENTITY]
+    for i in range(1, k):
+        base = _slerp_fixed(IDENTITY, target, np.array([i / k]))[0]
+        axis = rng.standard_normal(3)
+        angle = float(rng.uniform(0.15, 0.5))
+        waypoints.append(q_normalize(q_multiply(q_from_axis_angle(axis, angle), base)))
+    waypoints.append(target)
 
-    # Chunk layout: pause, slew, pause, slew, ..., slew, pause (2k+1 chunks);
-    # the settle margin is reserved up front and appended to the final pause.
-    pause_w = rng.uniform(0.3, 1.0, k + 1)
-    slew_w = rng.uniform(1.0, 2.0, k)
+    # Pause and slew weights; the settle margin is reserved up front and
+    # appended to the final pause.
     weights = np.empty(2 * k + 1)
-    weights[0::2] = pause_w
-    weights[1::2] = slew_w
+    weights[0::2] = rng.uniform(0.3, 1.0, k + 1)
+    weights[1::2] = rng.uniform(1.0, 2.0, k)
     budget = n_total - 1 - n_settle
     if budget < 2 * k + 1:
         raise ValueError("n_samples_range too small for the segment count")
     bounds = np.floor(np.cumsum(weights / weights.sum()) * budget).astype(int)
     bounds[-1] = budget
-    counts = np.diff(np.concatenate([[0], bounds]))
+    counts = np.diff(bounds, prepend=0)
     counts[-1] += n_settle
+    return waypoints, counts
 
-    quats = np.empty((n_total, 4))
-    quats[0] = start
+
+def _slews(waypoints: Sequence[np.ndarray], counts: Sequence[int]) -> np.ndarray:
+    """One sample at ``waypoints[0]``, then chunks of ``counts`` samples each:
+    pause, slew, pause, ..., slew, pause (``2 * len(waypoints) - 1`` chunks).
+
+    Pause ``j`` holds ``waypoints[j]``; slew ``j`` is the minimum-jerk geodesic
+    from ``waypoints[j]`` to ``waypoints[j + 1]``, ending on it.  A chunk may
+    be empty; the chunks after it keep their waypoints.
+    """
+    quats = np.empty((1 + int(sum(counts)), 4))
+    quats[0] = waypoints[0]
     pos = 1
-    current = start
     for chunk, count in enumerate(counts):
-        is_slew = chunk % 2 == 1
-        if count > 0:
-            if is_slew:
-                nxt = waypoints[(chunk + 1) // 2]
-                tau = np.arange(1, count + 1) / count
-                quats[pos : pos + count] = _slerp_fixed(current, nxt, _quintic(tau))
-            else:
-                quats[pos : pos + count] = current
-            pos += count
-        if is_slew:
-            # Advance even through a zero-length slew so later chunks still
-            # walk the full waypoint sequence (and the session ends on target).
-            current = waypoints[(chunk + 1) // 2]
+        start, end = waypoints[chunk // 2], pos + count
+        if chunk % 2 == 0:
+            quats[pos:end] = start
+        else:
+            tau = np.arange(1, count + 1) / count
+            quats[pos:end] = _slerp_fixed(start, waypoints[chunk // 2 + 1], _quintic(tau))
+        pos = end
     return quats
 
 

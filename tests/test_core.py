@@ -43,6 +43,19 @@ class TestNormalize:
         out = q_normalize(q * 0.01)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
+    @given(st.lists(st.tuples(unit_quaternions(), st.sampled_from(
+        ["unit", "near", "large", "small"]), st.integers(-8, 8)), min_size=1, max_size=12))
+    def test_each_row_normalises_as_a_single_quaternion(self, rows):
+        # Unit rows, rows whose squared norm is within 16 eps of 1 (either side
+        # of the tolerance), and rows scaled by 1e3 or 1e-3.
+        eps = np.finfo(np.float64).eps
+        scale = {"unit": lambda k: 1.0, "near": lambda k: 1.0 + k * eps,
+                 "large": lambda k: 1e3, "small": lambda k: 1e-3}
+        q = np.array([row * scale[kind](k) for row, kind, k in rows])
+        out = q_normalize(q)
+        for batch_row, row in zip(out, q):
+            assert batch_row.tobytes() == q_normalize(row).tobytes()
+
 
 class TestMultiply:
     @given(unit_quaternions())

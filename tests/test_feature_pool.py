@@ -260,7 +260,6 @@ def test_pooled_runs_of_equal_frames(tmp_path, monkeypatch):
 
 _DYING_WORKER = """
 import os, sys
-from concurrent.futures import BrokenExecutor
 from scanskill import features
 from scanskill.cli import main
 from scanskill.fusion import ResampleConfig, fuse_streams
@@ -272,10 +271,19 @@ session = load_session(sys.argv[1])
 fused = fuse_streams(session, ResampleConfig())
 try:
     features.compute_feature_table(session, fused, features.GlcmConfig())
-except BrokenExecutor:
+except ChildProcessError:
     print("raised")
 sys.exit(main(["report", "--session", sys.argv[1], "--out", sys.argv[2]]))
 """
+
+
+def test_dying_worker_is_a_child_process_error(monkeypatch):
+    monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
+    monkeypatch.setattr(features, "_frame_counts", lambda px, cfg: os._exit(7))
+    sources = tuple(np.full((8, 8), v, np.uint8) for v in range(4))
+    with pytest.raises(ChildProcessError, match="^a feature worker died: ") as info:
+        features._distinct_frame_features(sources, range(4), GlcmConfig())
+    assert isinstance(info.value, OSError)
 
 
 def test_dying_worker_raises_and_cli_exits_3(session_dir, tmp_path):

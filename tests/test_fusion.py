@@ -20,6 +20,7 @@ from scanskill.fusion import (
     slerp,
     write_fused_csv,
 )
+from scanskill.fusion import _SLERP_MIN_ANGLE, _slerp_pairs
 from scanskill.ingest import PoseSample
 
 from conftest import (
@@ -177,6 +178,32 @@ class TestSlerp:
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
         expected = u * q_geodesic_angle(a, b)
         assert abs(q_geodesic_angle(a, out) - expected) <= 1e-9
+
+
+class TestSlerpPairs:
+    """The batch slerp behind every fused grid equals ``slerp`` row by row,
+    whichever of its two branches (normalised lerp below ``_SLERP_MIN_ANGLE``,
+    the sine formula above) each row takes."""
+
+    @pytest.mark.parametrize("mix", ["all-below", "all-above", "mixed"])
+    def test_rows_equal_slerp(self, mix):
+        rng = np.random.default_rng(["all-below", "all-above", "mixed"].index(mix))
+        for _ in range(20):
+            n = int(rng.integers(1, 16))
+            a = np.array([random_unit_quat(rng) for _ in range(n)])
+            below = {"all-below": np.ones(n, bool), "all-above": np.zeros(n, bool),
+                     "mixed": rng.random(n) < 0.5}[mix]
+            # A turn by theta is a 4-vector angle of theta / 2.
+            theta = np.where(below, rng.uniform(0, _SLERP_MIN_ANGLE, n), rng.uniform(1e-3, 3, n))
+            turns = np.array([q_from_axis_angle(rng.standard_normal(3), t) for t in theta])
+            b = q_normalize(q_multiply(a, turns))
+            b[np.sum(a * b, axis=1) < 0] *= -1.0
+            omega = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
+            assert np.array_equal(omega < _SLERP_MIN_ANGLE, below)
+            u = rng.random(n)
+            batch = _slerp_pairs(a, b, u)
+            for i in range(n):
+                assert batch[i].tobytes() == slerp(a[i], b[i], u[i]).tobytes()
 
 
 class TestResample:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from scanskill.core import q_geodesic_angle
+from scanskill.core import IDENTITY, q_geodesic_angle
 from scanskill.features import GlcmConfig, frame_features
 from scanskill.fusion import _interpolate_on_grid
 from scanskill.ingest import load_session, validate_session
@@ -19,7 +19,8 @@ from scanskill.synth import (
     gen_trajectory,
     novice_profile,
 )
-from scanskill.synth import _gaussian_blur, _Phantom
+from scanskill.synth import _KIND_CODE, _SETTLE_S, _STREAM_TRAJECTORY, _gaussian_blur, _Phantom
+from scanskill.synth import _quintic, _slerp_fixed, _snap_to_frame_grid
 
 from conftest import peak_rss_kib
 
@@ -105,6 +106,83 @@ class TestTrajectory:
         assert [p.t_us for p in poses] == [k * 2**60 for k in range(5)]
         with pytest.raises(ValueError, match=r"^pose_rate_hz .* 9 poses past int64"):
             expert_profile(0, pose_rate_hz=rate, frame_rate_hz=rate / 4, n_samples_range=(7, 7))
+
+
+class TestProfileConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", ["expert"]),
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("pose_rate_hz", "100"),
+            ("pose_rate_hz", math.nan),
+            ("frame_rate_hz", None),
+            ("frame_width", 64.0),
+            ("frame_height", True),
+            ("frame_height", 2**63),
+            ("n_samples_range", (12, 30.0)),
+            ("n_samples_range", [12]),
+            ("n_samples_range", "12,30"),
+        ],
+    )
+    def test_mistyped_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProfileConfig(**{"kind": "expert", "seed": 0, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be non-negative"),
+        ("frame_width", 0, "frame geometry must be positive"),
+        ("frame_height", -4, "frame geometry must be positive"),
+        ("n_samples_range", (30, 12), "n_samples_range must be a non-empty positive interval"),
+    ])
+    def test_out_of_range_messages(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProfileConfig(**{"kind": "expert", "seed": 0, field: value})
+
+    def test_values_normalised(self):
+        profile = expert_profile(0, pose_rate_hz=10, frame_rate_hz=2, n_samples_range=[12, 30])
+        assert type(profile.pose_rate_hz) is float and type(profile.frame_rate_hz) is float
+        assert profile == expert_profile(0, pose_rate_hz=10.0, frame_rate_hz=2.0,
+                                         n_samples_range=(12, 30))
+        assert hash(profile) == hash(expert_profile(0, pose_rate_hz=10.0, frame_rate_hz=2.0,
+                                                    n_samples_range=(12, 30)))
+
+
+TINY_RATES = dict(pose_rate_hz=10, frame_rate_hz=2.5, n_samples_range=(12, 30))
+
+
+class TestExpertFormula:
+    """An expert trajectory is, byte for byte, its documented formula: the
+    identity for ``n_idle`` samples, the minimum-jerk slew
+    ``_slerp_fixed(identity, target, _quintic(tau))``, then the target for
+    ``n_settle`` samples, with ``n_total`` and ``n_idle`` from the same draws."""
+
+    @pytest.mark.parametrize("seed, overrides", [
+        *((seed, TINY_RATES) for seed in range(8)),  # each has n_idle == 1: an empty first pause
+        *((seed, {}) for seed in range(3)),
+    ])
+    def test_equals_formula(self, seed, overrides):
+        profile = expert_profile(seed, **overrides)
+        rng = np.random.default_rng([_STREAM_TRAJECTORY, _KIND_CODE["expert"], seed])
+        lo, hi = profile.resolved_samples_range()
+        n_total = _snap_to_frame_grid(int(rng.integers(lo, hi + 1)), lo, profile)
+        n_idle = max(1, int(round(float(rng.uniform(0.02, 0.05)) * n_total)))
+        n_settle = max(1, round(_SETTLE_S * profile.pose_rate_hz))
+        n_slew = n_total - n_idle - n_settle
+        assert (n_idle == 1) == (overrides is TINY_RATES)
+        target = profile.resolved_target()
+        tau = np.arange(1, n_slew + 1) / n_slew
+        q = np.concatenate([
+            np.tile(IDENTITY, (n_idle, 1)),
+            _slerp_fixed(IDENTITY, target, _quintic(tau)),
+            np.tile(target, (n_settle, 1)),
+        ])
+        poses = gen_trajectory(profile)
+        assert poses.q.tobytes() == q.tobytes()
+        period_us = round(1e6 / profile.pose_rate_hz)
+        assert np.array_equal(poses.t_us, period_us * np.arange(n_total))
 
 
 class TestPhantomFrames:
