@@ -7,7 +7,7 @@
    so that in a run of equal pixels an increment need not wait on the one
    before it.  The tables are uint32: the caller keeps a region under 2^32
    pixels.  count_delta moves counts from one region to the next, of the same
-   size, at the pixels whose level changed instead of counting again. */
+   size, at the pixels whose level changed, within a budget its caller sets. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -77,12 +77,12 @@ void histogram(const uint8_t *px, ptrdiff_t stride, ptrdiff_t rows, ptrdiff_t co
 
 /* Updates counts[n][levels][levels], the co-occurrence counts of region `prev`
    at the n (dx, dy) pairs of `offsets`, to those of region `cur`.  Returns 0
-   if no byte differs; -1, counts untouched, once more than 1/16 of the region,
-   or from its 8th row on of the rows scanned, changed level, as a full count is
-   then cheaper; else 1.  `scratch` holds rows * cols / 16 + 8 (y, x) pairs. */
+   if no byte differs; -1, counts untouched, once more than `budget` pixels, or
+   from its 8th row on more than the scanned rows' share of it, changed level;
+   else 1.  `scratch` holds `budget` (y, x) pairs and is never written past. */
 int count_delta(const uint8_t *prev, ptrdiff_t prev_stride, const uint8_t *cur,
                 ptrdiff_t cur_stride, ptrdiff_t rows, ptrdiff_t cols, const int64_t *offsets,
-                int n, int levels, int64_t *counts, uint32_t *scratch)
+                int n, int levels, int64_t *counts, uint32_t *scratch, ptrdiff_t budget)
 {
     const int shift = 8 - __builtin_ctz(levels);
     const uint64_t level_bits = 0x0101010101010101u * (uint8_t)(0xff << shift),
@@ -106,15 +106,15 @@ int count_delta(const uint8_t *prev, ptrdiff_t prev_stride, const uint8_t *cur,
             /* The top bit of each byte that changed level. */
             uint64_t d = (u ^ v) & level_bits;
             for (d = (((d & low7) + low7) | d) & ~low7; d; d &= d - 1, changed++) {
+                if (changed == budget)
+                    return -1;
                 const int bit = __builtin_ctzll(d);
                 scratch[2 * changed] = y;
                 scratch[2 * changed + 1] = x + (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
                                                 ? bit / 8 : 7 - bit / 8);
             }
-            if (changed * 16 > rows * cols)
-                return -1;
         }
-        if (y >= 7 && changed * 16 > (y + 1) * cols)
+        if (y >= 7 && changed * rows > budget * (y + 1))
             return -1;
     }
     /* Move each pair holding a changed pixel from its old levels to its new

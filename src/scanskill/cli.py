@@ -128,36 +128,28 @@ def entry() -> None:  # console-script entry point
 # argparse shows an ArgumentTypeError's own message; for any other error of a
 # ``type`` function it prints only the function's name.
 
-def _parse_offsets(text: str) -> tuple[tuple[int, int], ...]:
-    error = argparse.ArgumentTypeError(f"bad offsets {text!r}; expected 'dx,dy;dx,dy;...'")
+def _ints(text: str, sep: str, n: int, error: str) -> tuple[int, ...]:
+    """``text`` as ``n`` integers separated by ``sep``; else ArgumentTypeError(``error``)."""
     try:
-        pairs = tuple(
-            tuple(int(v) for v in chunk.split(",")) for chunk in text.split(";") if chunk
-        )
+        values = tuple(int(v) for v in text.split(sep))
     except ValueError:
-        raise error from None
-    if any(len(p) != 2 for p in pairs):
-        raise error
-    return pairs
+        values = ()
+    if len(values) != n:
+        raise argparse.ArgumentTypeError(error)
+    return values
+
+
+def _parse_offsets(text: str) -> tuple[tuple[int, int], ...]:
+    error = f"bad offsets {text!r}; expected 'dx,dy;dx,dy;...'"
+    return tuple(_ints(chunk, ",", 2, error) for chunk in text.split(";") if chunk)
 
 
 def _parse_roi(text: str) -> tuple[int, int, int, int]:
-    error = argparse.ArgumentTypeError(f"bad roi {text!r}; expected 'x,y,w,h'")
-    try:
-        parts = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise error from None
-    if len(parts) != 4:
-        raise error
-    return parts
+    return _ints(text, ",", 4, f"bad roi {text!r}; expected 'x,y,w,h'")
 
 
 def _parse_frame_size(text: str) -> tuple[int, int]:
-    try:
-        width, height = (int(v) for v in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad frame size {text!r}; expected WxH") from None
-    return width, height
+    return _ints(text.lower(), "x", 2, f"bad frame size {text!r}; expected WxH")
 
 
 def _pipeline_configs(args) -> tuple[ResampleConfig, GlcmConfig, SmoothnessConfig]:

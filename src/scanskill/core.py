@@ -127,10 +127,7 @@ class SessionMeta:
             raise ValueError(f"session_id must be a string, got {self.session_id!r}")
         if self.participant_role not in PARTICIPANT_ROLES:
             raise ValueError("unknown role; expected expert|novice|unknown")
-        if not is_int(self.trial):
-            raise ValueError(f"trial must be an integer, got {self.trial!r}")
-        if self.trial < 1:
-            raise ValueError("trial must be >= 1")
+        check_int("trial", self.trial)
         for name in ("pose_rate_hz", "frame_rate_hz"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not (self.pose_rate_hz > 0 and self.frame_rate_hz > 0):

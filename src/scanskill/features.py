@@ -265,9 +265,11 @@ def histogram_stats(frame: Frame | np.ndarray, roi=None) -> HistogramStats:
 def _histogram(counts: np.ndarray, n: int) -> HistogramStats:
     """Statistics of a 256-bin intensity count over ``n`` pixels."""
     bins = counts / n
-    values = np.arange(256, dtype=np.float64)
-    mean = float(bins @ values)
-    variance = float(bins @ (values - mean) ** 2)
+    # From exact integer sums, each rounded once: a float dot would run in BLAS,
+    # whose rounding depends on the CPU path it picks.
+    values = np.arange(256)
+    s1, s2 = int(counts @ values), int(counts @ values**2)
+    mean, variance = s1 / n, (n * s2 - s1 * s1) / (n * n)
     nz = bins[bins > 0]
     entropy = float(-np.sum(nz * np.log2(nz)))
     return HistogramStats(bins=bins, mean=mean, variance=variance, entropy=entropy)
@@ -364,7 +366,7 @@ def _kernel() -> ctypes.CDLL | None:
     kernel.histogram.argtypes = [ptr, size, size, size, ptr]
     kernel.histogram.restype = None
     kernel.count_delta.argtypes = [ptr, size, ptr, size, size, size, ptr, ctypes.c_int,
-                                    ctypes.c_int, ptr, ptr]
+                                    ctypes.c_int, ptr, ptr, size]
     kernel.count_delta.restype = ctypes.c_int
     return kernel
 
@@ -585,6 +587,10 @@ _POOL_MIN_PIXELS = 1 << 24
 # near the end leaves little idle time on the other workers.
 _CHUNKS_PER_WORKER = 8
 
+# count_delta's budget is 1/_DELTA_SHARE of a region's pixels; past it the frame
+# is counted in full (the break-even for scattered changes is near 1/9).
+_DELTA_SHARE = 16
+
 # Set in each pool worker by _init_worker: (sources, cfg) inherited by fork.
 _worker_job: tuple[Sequence, GlcmConfig] | None = None
 
@@ -616,12 +622,11 @@ def _frame_rows(
     previous one's byte for byte reuses its row.  The first region, and one
     shaped unlike the previous one, is counted in full; any other moves the
     previous counts at the pixels whose level changed (``count_delta`` in
-    ``_glcm.c``), unless more than 1/16 of them did or no kernel was built.
-    At most two sources' pixels are held at a time, the current and the
-    previous one.
+    ``_glcm.c``), unless more than its budget of ``1/_DELTA_SHARE`` of them
+    did or no kernel was built.  At most two sources' pixels are held at a
+    time, the current and the previous one.
     """
     kernel = _kernel()
-    scratch = np.empty(0, np.uint32)
     rows: list[tuple[float, ...]] = []
     previous = None
     for i in indices:
@@ -634,17 +639,17 @@ def _frame_rows(
         elif kernel is None or px.size >= 1 << 32:
             change = 0 if np.array_equal(px, previous) else -1
         else:
-            if scratch.size < 2 * (px.size // 16 + 8):
-                scratch = np.empty(2 * (px.size // 16 + 8), np.uint32)
-                # A full count has found every offset inside a region: each fits.
-                offsets = np.array(cfg.offsets, np.int64)
+            budget = px.size // _DELTA_SHARE
+            scratch = np.empty(2 * budget, np.uint32)  # (y, x) of each changed pixel
             change = kernel.count_delta(
                 previous.ctypes.data, previous.strides[0], px.ctypes.data, px.strides[0],
                 *px.shape, offsets.ctypes.data, len(offsets), cfg.levels, counts.ctypes.data,
-                scratch.ctypes.data,
+                scratch.ctypes.data, budget,
             )
         if change < 0:
             counts, hist = _frame_counts(px, cfg)
+            # A full count has found every offset inside a region: each fits.
+            offsets = np.array(cfg.offsets, np.int64)
         elif change:
             kernel.histogram(px.ctypes.data, px.strides[0], *px.shape, hist.ctypes.data)
         if change:

@@ -226,15 +226,15 @@ def assert_same_table(a, b) -> None:
 def abandons_delta(prev: np.ndarray, cur: np.ndarray, levels: int) -> bool:
     """Whether ``count_delta`` gives up on the regions ``prev`` then ``cur``, of one shape.
 
-    It does when more than 1/16 of the region's pixels change level, or when
-    more than 1/16 of those in the rows scanned so far did after any row from
-    the 8th on.
+    It does when more pixels change level than its budget, the region's size
+    over ``features._DELTA_SHARE`` rounded down, or when after any row from
+    the 8th on more did than the rows scanned so far's share of that budget.
     """
     shift = 9 - levels.bit_length()
     scanned = np.cumsum(np.count_nonzero(prev >> shift != cur >> shift, axis=1))
     rows = np.arange(1, len(scanned) + 1)
-    return bool(scanned[-1] * 16 > prev.size
-                or np.any(scanned[7:] * 16 > rows[7:] * prev.shape[1]))
+    budget = prev.size // features._DELTA_SHARE
+    return bool(scanned[-1] > budget or np.any(scanned[7:] * len(prev) > budget * rows[7:]))
 
 
 def full_count_regions(regions: list[np.ndarray], levels: int, starts=(0,)) -> list[np.ndarray]:

@@ -478,7 +478,13 @@ class TestExitCodes:
          "argument --roi: bad roi '1,2,x,4'; expected 'x,y,w,h'"),
         (["synth", "--profile", "expert", "--seed", "0", "--out", "s", "--frame-size", "32by3"],
          "argument --frame-size: bad frame size '32by3'; expected WxH"),
-    ], ids=["offsets", "roi", "frame-size"])
+        (["report", "--session", "s", "--offsets", "1,0;x,1"],
+         "argument --offsets: bad offsets '1,0;x,1'; expected 'dx,dy;dx,dy;...'"),
+        (["features", "--session", "s", "--roi", "1,2,3"],
+         "argument --roi: bad roi '1,2,3'; expected 'x,y,w,h'"),
+        (["synth", "--profile", "expert", "--seed", "0", "--out", "s", "--frame-size", "1x2x3"],
+         "argument --frame-size: bad frame size '1x2x3'; expected WxH"),
+    ], ids=["offsets", "roi", "frame-size", "offsets-not-int", "roi-3", "frame-size-3"])
     def test_bad_flag_value_shows_its_message(self, argv, message):
         code, err = _run(argv)
         assert code == 2

@@ -140,6 +140,11 @@ class TestSessionMeta:
         with pytest.raises(ValueError, match="trial"):
             SessionMeta("s1", "expert", 0, 100.0, 25.0)
 
+    def test_trial_within_int64(self):
+        assert SessionMeta("s1", "expert", 2**63 - 1, 100.0, 25.0).trial == 2**63 - 1
+        with pytest.raises(ValueError, match=f"^trial must be <= {2**63 - 1}$"):
+            SessionMeta("s1", "expert", 2**63, 100.0, 25.0)
+
     @pytest.mark.parametrize("fields", [
         (7, "expert", 1, 100.0, 25.0),
         ("s1", "expert", 1.0, 100.0, 25.0),

@@ -595,7 +595,8 @@ class TestDeltaCounts:
         assert_same_regions(full, full_count_regions(regions, levels))
 
     # Level changes per row of a 64x64 region, where 1/16 is 256 pixels, or
-    # 32 in its first 8 rows, and whether the delta gives up on them.
+    # 32 in its first 8 rows, and whether the delta gives up on them.  They
+    # are written for features._DELTA_SHARE == 16, which the test checks first.
     LIMIT_CASES = {
         "256 spread": ([4] * 64, False),
         "257 spread": ([4] * 63 + [5], True),
@@ -605,6 +606,7 @@ class TestDeltaCounts:
 
     @pytest.mark.parametrize("case", LIMIT_CASES)
     def test_delta_gives_up_past_a_sixteenth(self, case):
+        assert features._DELTA_SHARE == 16
         per_row, abandoned = self.LIMIT_CASES[case]
         rng = np.random.default_rng(5)
         prev = rng.integers(0, 256, (64, 64), dtype=np.uint8)
@@ -615,6 +617,38 @@ class TestDeltaCounts:
         rows, full = self.rows_and_full_counts([prev, cur], GlcmConfig())
         assert rows == [self.oracle_row(px, GlcmConfig()) for px in (prev, cur)]
         assert_same_regions(full, [prev, cur] if abandoned else [prev])
+
+    @pytest.mark.parametrize("over", [False, True], ids=["budget", "budget+1"])
+    @pytest.mark.parametrize("budget", [0, 1, 256])
+    def test_count_delta_keeps_to_its_budget(self, budget, over):
+        # The level changes end the 64x64 region, so the 8-row rule, whose
+        # share of the budget reaches all of it only at the last row, never
+        # decides first.  A flipped low bit, which no level sees, makes the
+        # regions differ at budget 0.
+        cfg = GlcmConfig()
+        prev = np.random.default_rng(budget).integers(0, 256, (64, 64), dtype=np.uint8)
+        cur = prev.copy()
+        cur[0, 0] ^= 1
+        cur.reshape(-1)[prev.size - budget - over:] ^= 0x80
+        counts = features._frame_counts(prev, cfg)[0]
+        before = counts.copy()
+        # Room for exactly `budget` (y, x) pairs, then guard words no pair can hold.
+        guard = np.iinfo(np.uint32).max
+        scratch = np.full(2 * budget + 16, guard, np.uint32)
+        offsets = np.array(cfg.offsets, np.int64)
+        change = features._kernel().count_delta(
+            prev.ctypes.data, 64, cur.ctypes.data, 64, 64, 64, offsets.ctypes.data,
+            len(offsets), cfg.levels, counts.ctypes.data, scratch.ctypes.data, budget,
+        )
+        assert np.all(scratch[2 * budget:] == guard)
+        if over:
+            assert change == -1
+            assert np.array_equal(counts, before)
+        else:
+            assert change == 1
+            assert np.array_equal(counts, features._frame_counts(cur, cfg)[0])
+        if budget == prev.size // features._DELTA_SHARE:
+            assert abandons_delta(prev, cur, cfg.levels) == over
 
     def test_rows_equal_frame_features_under_sanitizers(self, tmp_path):
         libasan = subprocess.run(["cc", "-print-file-name=libasan.so"],
