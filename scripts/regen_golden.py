@@ -8,7 +8,8 @@ written, ``validate``'s stdout and exit code, ``report.json`` in full, and
 what it was made with: the numpy version, the platform, numpy's enabled CPU
 dispatch targets and the OpenBLAS core.  ``tests/test_golden.py``
 recomputes the same document and compares; a change that alters outputs on
-purpose regenerates the file and says which digests changed and why.
+purpose regenerates the file and says which digests changed and why.  Before
+it writes, the script prints each changed leaf of the document to stderr.
 
 Example:
     PYTHONPATH=src python scripts/regen_golden.py
@@ -119,9 +120,23 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def differences(golden, actual, path: str = "") -> list[str]:
+    """The leaf paths at which two JSON documents differ."""
+    if isinstance(golden, dict) and isinstance(actual, dict):
+        return [
+            diff
+            for key in sorted(golden.keys() | actual.keys())
+            for diff in differences(golden.get(key), actual.get(key), f"{path}/{key}")
+        ]
+    return [] if golden == actual else [f"{path}: golden {golden!r}, now {actual!r}"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         doc = golden_document(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for diff in differences(old, doc):
+        print(f"changed {diff}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
     return 0

@@ -6,8 +6,9 @@
    `stride` bytes.  Consecutive pixels count into four interleaved tables,
    so that in a run of equal pixels an increment need not wait on the one
    before it.  The tables are uint32: the caller keeps a region under 2^32
-   pixels.  count_delta moves counts from one region to the next, of the same
-   size, at the pixels whose level changed, within a budget its caller sets. */
+   pixels (features._kernel_for gives no kernel for a larger one).
+   count_delta moves counts from one region to the next, of the same size,
+   at the pixels whose level changed, within a budget its caller sets. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>

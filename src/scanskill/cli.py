@@ -42,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanskill", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    def add_pipeline_command(name: str, func, help: str) -> None:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--session", required=True, help="session directory")
         p.add_argument("--out", help="output directory (default: the session directory)")
         p.add_argument("--config", help="JSON file overriding pipeline defaults")
@@ -72,26 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", required=True)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("fuse", help="resample both streams onto the fused grid")
-    add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_fuse)
-
-    p = sub.add_parser("features", help="extract texture/histogram/motion features")
-    add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_features)
-
-    p = sub.add_parser("report", help="build the per-session skill report")
-    add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_report)
+    add_pipeline_command("fuse", _cmd_fuse, "resample both streams onto the fused grid")
+    add_pipeline_command("features", _cmd_features, "extract texture/histogram/motion features")
+    add_pipeline_command("report", _cmd_report, "build the per-session skill report")
 
     p = sub.add_parser("compare", help="compare two report.json files")
     p.add_argument("report_a", help="first report.json")
     p.add_argument("report_b", help="second report.json")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("export-plot", help="emit tidy long-format CSV for plotting")
-    add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_export_plot)
+    add_pipeline_command("export-plot", _cmd_export_plot, "emit tidy long-format CSV for plotting")
 
     return parser
 

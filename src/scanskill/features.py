@@ -287,7 +287,7 @@ def frame_features(
     whether the compiled kernel or numpy counts the pairs.
     """
     px = _pixels_of(frame, cfg.roi)
-    return _features(*_frame_counts(px, cfg), px.size, cfg)
+    return _features(*_frame_counts(px, cfg, _kernel_for(px)), px.size, cfg)
 
 
 def _features(
@@ -304,24 +304,21 @@ def _features(
     return texture, _histogram(hist_counts, n)
 
 
-def _frame_counts(px: np.ndarray, cfg: GlcmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (n_offsets, L, L) co-occurrence counts and 256-bin histogram of ``px``."""
+def _kernel_for(px: np.ndarray) -> ctypes.CDLL | None:
+    """The compiled kernel to count ``px`` with; None where numpy must count it."""
     # From 2^32 pixels on, a uint32 table of the kernel could overflow.
-    kernel = _kernel() if px.size < 1 << 32 else None
-    return _numpy_counts(px, cfg) if kernel is None else _compiled_counts(kernel, px, cfg)
+    return _kernel() if px.size < 1 << 32 else None
 
 
-def _numpy_counts(px: np.ndarray, cfg: GlcmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_frame_counts` in numpy."""
-    q = quantize(px, cfg.levels)
-    counts = np.stack([_pair_counts(q, offset, cfg.levels) for offset in cfg.offsets])
-    return counts, np.bincount(px.ravel(), minlength=256)
-
-
-def _compiled_counts(
-    kernel: ctypes.CDLL, px: np.ndarray, cfg: GlcmConfig
+def _frame_counts(
+    px: np.ndarray, cfg: GlcmConfig, kernel: ctypes.CDLL | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_numpy_counts` through the compiled kernel."""
+    """The (n_offsets, L, L) co-occurrence counts and 256-bin histogram of ``px``,
+    counted by ``kernel``, or by numpy when it is None."""
+    if kernel is None:
+        q = quantize(px, cfg.levels)
+        counts = np.stack([_pair_counts(q, offset, cfg.levels) for offset in cfg.offsets])
+        return counts, np.bincount(px.ravel(), minlength=256)
     # The regions keep every pixel and its partner inside px, so every
     # index and byte offset the kernel forms lies within px.
     regions = [_pair_region(px.shape, offset) for offset in cfg.offsets]
@@ -445,10 +442,12 @@ def smooth_speed(
 def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
     """LDLJ of a speed profile: ``-ln((T^3 / v_peak^2) * sum (d²v/dt²)^2 * dt)``.
 
-    ``d²v/dt²``, the jerk of the speed profile, is ``np.gradient`` applied
-    twice (central differences, one-sided at the boundaries), and ``T`` is
-    the series duration, as in Balasubramanian, Melendez-Calderon & Burdet
-    (IEEE TBME 59(8), 2012) and Balasubramanian et al. (JNER 12:112, 2015).
+    ``d²v/dt²``, the jerk of the speed profile, is the three-point second
+    difference ``(v[k-1] - 2·v[k] + v[k+1]) / dt²`` at the n - 2 interior
+    samples; ``np.gradient`` applied twice would span 2·dt and miss a wobble
+    at the Nyquist rate.  ``T`` is the series duration, as in
+    Balasubramanian, Melendez-Calderon & Burdet (IEEE TBME 59(8), 2012) and
+    Balasubramanian et al. (JNER 12:112, 2015).
     ``T = (n - 1)·dt``: the movement runs from the first speed sample to the
     last, and n samples on a uniform grid span n - 1 steps, so ``n·dt``
     would count a step past the last sample that no speed was recorded in.
@@ -464,7 +463,7 @@ def log_dimensionless_jerk(speed: np.ndarray, delta_t_s: float) -> float:
         raise ValueError("no motion")
     if v_peak**2 == 0.0:
         raise ValueError(f"peak speed {v_peak!r} squared underflows")
-    jerk = np.gradient(np.gradient(v, delta_t_s), delta_t_s)
+    jerk = np.diff(v, 2) / delta_t_s**2
     duration = (v.size - 1) * delta_t_s
     cost = (duration**3 / v_peak**2) * float(np.sum(jerk * jerk)) * delta_t_s
     if not 0.0 < cost < math.inf:
@@ -591,7 +590,7 @@ _CHUNKS_PER_WORKER = 8
 # is counted in full (the break-even for scattered changes is near 1/9).
 _DELTA_SHARE = 16
 
-# Set in each pool worker by _init_worker: (sources, cfg) inherited by fork.
+# (sources, cfg) while _distinct_frame_features runs a pool; its workers inherit it by fork.
 _worker_job: tuple[Sequence, GlcmConfig] | None = None
 
 
@@ -623,20 +622,21 @@ def _frame_rows(
     shaped unlike the previous one, is counted in full; any other moves the
     previous counts at the pixels whose level changed (``count_delta`` in
     ``_glcm.c``), unless more than its budget of ``1/_DELTA_SHARE`` of them
-    did or no kernel was built.  At most two sources' pixels are held at a
-    time, the current and the previous one.
+    did or :func:`_kernel_for` gives no kernel for the region, which is then
+    counted by numpy.  At most two sources' pixels are held at a time, the
+    current and the previous one.
     """
-    kernel = _kernel()
     rows: list[tuple[float, ...]] = []
     previous = None
     for i in indices:
         px = _pixels_of(_read(sources[i]), cfg.roi)
         if px.strides[1] != 1:
             px = np.ascontiguousarray(px)
+        kernel = _kernel_for(px)
         # -1: count in full; 0: no byte differs; 1: counts updated in place.
         if previous is None or previous.shape != px.shape:
             change = -1
-        elif kernel is None or px.size >= 1 << 32:
+        elif kernel is None:
             change = 0 if np.array_equal(px, previous) else -1
         else:
             budget = px.size // _DELTA_SHARE
@@ -647,7 +647,7 @@ def _frame_rows(
                 scratch.ctypes.data, budget,
             )
         if change < 0:
-            counts, hist = _frame_counts(px, cfg)
+            counts, hist = _frame_counts(px, cfg, kernel)
             # A full count has found every offset inside a region: each fits.
             offsets = np.array(cfg.offsets, np.int64)
         elif change:
@@ -679,21 +679,17 @@ def _distinct_frame_features(
     _kernel()  # loaded, or built, once here; the workers inherit it through the fork
     chunksize = max(1, len(indices) // (workers * _CHUNKS_PER_WORKER))
     chunks = [indices[k : k + chunksize] for k in range(0, len(indices), chunksize)]
+    global _worker_job
+    # Set before the first submit, which forks every worker at once (a fork
+    # pool spawns no worker later), so each worker inherits it.
+    _worker_job = (sources, cfg)
     try:
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(sources, cfg),
-        ) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             return [row for rows in pool.map(_worker_frame_rows, chunks) for row in rows]
     except BrokenExecutor as exc:
         raise ChildProcessError(f"a feature worker died: {exc}") from exc
-
-
-def _init_worker(sources: Sequence, cfg: GlcmConfig) -> None:
-    global _worker_job
-    _worker_job = (sources, cfg)
+    finally:
+        _worker_job = None
 
 
 def _worker_frame_rows(indices: Sequence[int]) -> list[tuple[float, ...]]:

@@ -157,9 +157,7 @@ def _quintic(tau: np.ndarray) -> np.ndarray:
 
 
 def _slerp_fixed(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Geodesic from a to b evaluated at fractions s (flips b into a's hemisphere)."""
-    if float(np.dot(a, b)) < 0.0:
-        b = -b
+    """Geodesic from a to b evaluated at fractions s; a and b share a hemisphere."""
     n = len(s)
     return _slerp_pairs(np.broadcast_to(a, (n, 4)), np.broadcast_to(b, (n, 4)), s)
 

@@ -267,9 +267,9 @@ def log_frame_rows(monkeypatch, reads: list, full: list) -> None:
         reads.append(source)
         return read(source)
 
-    def logged_frame_counts(px, cfg):
+    def logged_frame_counts(px, cfg, kernel):
         full.append(px.copy())
-        return frame_counts(px, cfg)
+        return frame_counts(px, cfg, kernel)
 
     monkeypatch.setattr(features, "_read", logged_read)
     monkeypatch.setattr(features, "_frame_counts", logged_frame_counts)

@@ -91,6 +91,8 @@ def test_pooled_records_equal_serial(session_dir, monkeypatch, cfg):
     _, serial = _table(session_dir, cfg)
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
     _assert_same_frame_features(serial_frames, _frame_features(session_dir, cfg))
+    # The job the workers inherited is not kept past the pool.
+    assert features._worker_job is None
     session, pooled = _table(session_dir, cfg)
     assert_same_table(serial, pooled)
     assert np.count_nonzero(~np.isnan(pooled.asm)) > 100
@@ -266,7 +268,7 @@ from scanskill.fusion import ResampleConfig, fuse_streams
 from scanskill.ingest import load_session
 
 features._POOL_MIN_PIXELS = 0
-features._frame_counts = lambda px, cfg: os._exit(7)
+features._frame_counts = lambda px, cfg, kernel: os._exit(7)
 session = load_session(sys.argv[1])
 fused = fuse_streams(session, ResampleConfig())
 try:
@@ -279,11 +281,12 @@ sys.exit(main(["report", "--session", sys.argv[1], "--out", sys.argv[2]]))
 
 def test_dying_worker_is_a_child_process_error(monkeypatch):
     monkeypatch.setattr(features, "_POOL_MIN_PIXELS", 0)
-    monkeypatch.setattr(features, "_frame_counts", lambda px, cfg: os._exit(7))
+    monkeypatch.setattr(features, "_frame_counts", lambda px, cfg, kernel: os._exit(7))
     sources = tuple(np.full((8, 8), v, np.uint8) for v in range(4))
     with pytest.raises(ChildProcessError, match="^a feature worker died: ") as info:
         features._distinct_frame_features(sources, range(4), GlcmConfig())
     assert isinstance(info.value, OSError)
+    assert features._worker_job is None
 
 
 def test_dying_worker_raises_and_cli_exits_3(session_dir, tmp_path):

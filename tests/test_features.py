@@ -399,10 +399,10 @@ class TestCompiledKernel:
             px = features._pixels_of(img, roi)
             cfg = GlcmConfig(levels=levels, offsets=offsets)
             try:
-                counts, hist = features._compiled_counts(kernel, px, cfg)
+                counts, hist = features._frame_counts(px, cfg, kernel)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    features._numpy_counts(px, cfg)
+                    features._frame_counts(px, cfg, None)
                 continue
             q = quantize(px, levels)
             assert np.array_equal(counts, [glcm_counts(q, levels, o) for o in offsets])
@@ -423,12 +423,20 @@ class TestCompiledKernel:
         # Broadcast from one byte: 2^32 pixels, no memory.
         px = np.broadcast_to(np.uint8(7), (1 << 16, 1 << 16))
 
-        def numpy_counts(px, cfg):
+        def numpy_quantize(px, levels, roi=None):
             raise LookupError("numpy counts")
 
-        monkeypatch.setattr(features, "_numpy_counts", numpy_counts)
+        monkeypatch.setattr(features, "quantize", numpy_quantize)
         with pytest.raises(LookupError):
             frame_features(px, GlcmConfig())
+
+    def test_kernel_for_stops_at_2_to_the_32_pixels(self, kernel):
+        # Broadcast views of one byte: the sizes, and no memory.
+        below = np.broadcast_to(np.uint8(7), (1 << 16, (1 << 16) - 1))
+        at = np.broadcast_to(np.uint8(7), (1 << 16, 1 << 16))
+        assert below.size == (1 << 32) - (1 << 16)
+        assert features._kernel_for(below) is kernel
+        assert features._kernel_for(at) is None
 
     # The default config, then offsets with a negative dx, an ROI and no
     # symmetry at the smallest and the largest level count.
@@ -630,13 +638,14 @@ class TestDeltaCounts:
         cur = prev.copy()
         cur[0, 0] ^= 1
         cur.reshape(-1)[prev.size - budget - over:] ^= 0x80
-        counts = features._frame_counts(prev, cfg)[0]
+        kernel = features._kernel()
+        counts = features._frame_counts(prev, cfg, kernel)[0]
         before = counts.copy()
         # Room for exactly `budget` (y, x) pairs, then guard words no pair can hold.
         guard = np.iinfo(np.uint32).max
         scratch = np.full(2 * budget + 16, guard, np.uint32)
         offsets = np.array(cfg.offsets, np.int64)
-        change = features._kernel().count_delta(
+        change = kernel.count_delta(
             prev.ctypes.data, 64, cur.ctypes.data, 64, 64, 64, offsets.ctypes.data,
             len(offsets), cfg.levels, counts.ctypes.data, scratch.ctypes.data, budget,
         )
@@ -646,7 +655,7 @@ class TestDeltaCounts:
             assert np.array_equal(counts, before)
         else:
             assert change == 1
-            assert np.array_equal(counts, features._frame_counts(cur, cfg)[0])
+            assert np.array_equal(counts, features._frame_counts(cur, cfg, kernel)[0])
         if budget == prev.size // features._DELTA_SHARE:
             assert abandons_delta(prev, cur, cfg.levels) == over
 
@@ -848,14 +857,29 @@ class TestLdlj:
 
     def test_matches_stated_formula(self):
         v = min_jerk_bell(64, 0.02)
-        jerk = np.gradient(np.gradient(v, 0.02), 0.02)
+        jerk = [(v[k - 1] - 2 * v[k] + v[k + 1]) / 0.02**2 for k in range(1, 63)]
         duration = 63 * 0.02
-        expected = -math.log(duration**3 / v.max() ** 2 * np.sum(jerk * jerk) * 0.02)
+        expected = -math.log(duration**3 / v.max() ** 2 * sum(j * j for j in jerk) * 0.02)
         assert abs(log_dimensionless_jerk(v, 0.02) - expected) <= 1e-12
+
+    def test_minimum_jerk_anchor(self):
+        # The bell is v = 16 tau^2 (1 - tau)^2 over tau = t / T, peak 1, the speed
+        # of Flash & Hogan's minimum-jerk movement.  Its jerk cost is the
+        # integral of v''(tau)^2 = 256 (12 (tau - 1/2)^2 - 1)^2, which is 204.8.
+        v = min_jerk_bell(10001, 0.01)
+        assert abs(log_dimensionless_jerk(v, 0.01) + math.log(204.8)) <= 1e-3
+
+    def test_nyquist_wobble_lowers_ldlj(self):
+        # A speed that alternates up and down at every sample is jerkier than
+        # the bell it rides on; a derivative over 2·dt cannot see it.
+        k = np.arange(400)
+        bell = np.sin(np.pi * k / 399) ** 2
+        wobble = bell + 0.05 * (-1.0) ** k * bell
+        assert log_dimensionless_jerk(wobble, 0.01) < log_dimensionless_jerk(bell, 0.01) - 10
 
     def test_time_scaling_invariance(self):
         # One minimum-jerk shape over 1, 2, 4 and 8 s at 100 Hz.  The
-        # discrete derivatives spread these by about 0.06 (-5.25 to -5.31).
+        # discrete derivatives spread these by about 0.04 (-5.27 to -5.32).
         values = [log_dimensionless_jerk(min_jerk_bell(100 * T + 1, 0.01), 0.01)
                   for T in (1, 2, 4, 8)]
         assert max(values) - min(values) <= 0.1

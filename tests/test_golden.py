@@ -20,22 +20,11 @@ def _regen_module():
     return module
 
 
-def _differences(golden, actual, path: str = "") -> list[str]:
-    """The leaf paths at which two JSON documents differ."""
-    if isinstance(golden, dict) and isinstance(actual, dict):
-        return [
-            diff
-            for key in sorted(golden.keys() | actual.keys())
-            for diff in _differences(golden.get(key), actual.get(key), f"{path}/{key}")
-        ]
-    return [] if golden == actual else [f"{path}: golden {golden!r}, now {actual!r}"]
-
-
 def test_outputs_match_golden(tmp_path):
     regen = _regen_module()
     golden = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))
     actual = regen.golden_document(tmp_path)
-    differences = _differences(golden["sessions"], actual["sessions"])
+    differences = regen.differences(golden["sessions"], actual["sessions"])
     environment = [
         f"{key} is {value!r}, golden.json was made with {golden.get(key)!r}"
         for key, value in regen.environment().items()

@@ -20,7 +20,7 @@ from scanskill.synth import (
     novice_profile,
 )
 from scanskill.synth import _KIND_CODE, _SETTLE_S, _STREAM_TRAJECTORY, _gaussian_blur, _Phantom
-from scanskill.synth import _quintic, _slerp_fixed, _snap_to_frame_grid
+from scanskill.synth import _novice_plan, _quintic, _slerp_fixed, _snap_to_frame_grid
 
 from conftest import peak_rss_kib
 
@@ -183,6 +183,30 @@ class TestExpertFormula:
         assert poses.q.tobytes() == q.tobytes()
         period_us = round(1e6 / profile.pose_rate_hz)
         assert np.array_equal(poses.t_us, period_us * np.arange(n_total))
+
+
+class TestSlewHemispheres:
+    """``_slerp_fixed`` takes its ends as they are, with no hemisphere flip: every
+    slew synth makes runs between quaternions with a positive dot product.
+
+    The expert's ends are 0.6 rad apart as quaternions.  A novice waypoint lies
+    within 0.25 rad of a point on that geodesic, and those points are at most
+    0.1 rad apart, so consecutive waypoints are within 0.6 rad too: each dot is
+    at least cos 0.6, about 0.825."""
+
+    def test_expert_slew(self):
+        assert float(np.dot(IDENTITY, expert_profile(0).resolved_target())) > 0.8
+
+    def test_consecutive_novice_waypoints(self):
+        for seed in range(200):
+            profile = novice_profile(seed)
+            rng = np.random.default_rng([_STREAM_TRAJECTORY, _KIND_CODE["novice"], seed])
+            lo, hi = profile.resolved_samples_range()
+            n_total = _snap_to_frame_grid(int(rng.integers(lo, hi + 1)), lo, profile)
+            n_settle = max(1, round(_SETTLE_S * profile.pose_rate_hz))
+            waypoints, _ = _novice_plan(rng, n_total, n_settle, profile.resolved_target())
+            dots = [float(np.dot(a, b)) for a, b in zip(waypoints, waypoints[1:])]
+            assert min(dots) > 0.8, seed
 
 
 class TestPhantomFrames:
